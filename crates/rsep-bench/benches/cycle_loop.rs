@@ -70,7 +70,10 @@ fn throughput(_c: &mut Criterion) {
         let mut best = f64::MAX;
         let mut cycles = 0;
         for _ in 0..3 {
-            // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bench measures wall-clock throughput; timings never enter simulation results"
+            )]
             let start = Instant::now();
             let (c, committed) = run_once(&insts, scheduler);
             let secs = start.elapsed().as_secs_f64();

@@ -511,7 +511,10 @@ fn throughput(_c: &mut Criterion) {
     }
     for _ in 0..8 {
         for (slot, (_, run)) in paths.iter().enumerate() {
-            // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bench measures wall-clock throughput; timings never enter simulation results"
+            )]
             let start = Instant::now();
             black_box(run(&stream));
             best[slot] = best[slot].min(start.elapsed().as_secs_f64());

@@ -129,7 +129,10 @@ fn throughput(_c: &mut Criterion) {
         let mut best = f64::MAX;
         let mut payload = 0u64;
         for _ in 0..3 {
-            // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bench measures wall-clock throughput; timings never enter simulation results"
+            )]
             let start = Instant::now();
             payload = black_box(run());
             best = best.min(start.elapsed().as_secs_f64());

@@ -106,7 +106,6 @@ fn label_of(entry: &Json) -> Option<(String, String)> {
     pairs.iter().find_map(|(k, v)| v.as_str().map(|label| (k.clone(), label.to_string())))
 }
 
-// lint: json-reader(BenchRecord)
 fn compare(baseline: &Json, current: &Json, threshold_pct: f64) -> Report {
     let mut report = Report { lines: Vec::new(), failures: Vec::new(), compared: 0 };
     let empty: [Json; 0] = [];
@@ -316,6 +315,41 @@ mod tests {
         let report = compare(&baseline, &current, 10.0);
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert_eq!(report.compared, 1);
+    }
+
+    /// A record rendered by the writer every bench uses, envelope and all,
+    /// and read back from its on-disk text the way `main` loads it.
+    fn bench_record(generate_per_sec: f64) -> Json {
+        let result = |mode: &str, per_sec: f64| {
+            Json::Object(vec![
+                ("mode".to_string(), Json::Str(mode.to_string())),
+                ("ms_per_run".to_string(), Json::Num(17.0)),
+                ("minsts_per_sec".to_string(), Json::Num(per_sec)),
+            ])
+        };
+        let record = rsep_bench::record::BenchRecord {
+            bench: "trace_gen",
+            params: vec![("profile", Json::Str("gcc".to_string()))],
+            results: vec![result("generate", generate_per_sec), result("replay", 9.0)],
+            attribution: Json::Null,
+        };
+        Json::parse(&record.to_json().to_string_pretty()).unwrap()
+    }
+
+    #[test]
+    fn gate_reads_what_bench_record_writes() {
+        let committed = bench_record(12.0);
+        let same = compare(&committed, &committed, 10.0);
+        assert!(same.failures.is_empty(), "{:?}", same.failures);
+        assert_eq!(same.compared, 2);
+
+        let cut = compare(&committed, &bench_record(12.0 * 0.8), 10.0);
+        assert_eq!(cut.failures.len(), 1, "{:?}", cut.failures);
+        assert!(
+            cut.failures[0].contains("'generate' minsts_per_sec dropped 20.0%"),
+            "{}",
+            cut.failures[0]
+        );
     }
 
     #[test]

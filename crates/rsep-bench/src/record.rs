@@ -21,7 +21,6 @@ use rsep_stats::json::Json;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Version of the record envelope written by [`BenchRecord::to_json`].
-// lint: exempt(dead-pub-api, schema contract for external consumers of bench JSON records)
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One bench's machine-readable throughput record.
@@ -74,7 +73,6 @@ impl BenchRecord {
 }
 
 /// Host metadata: CPU model, core count, rustc version, UTC timestamp.
-// lint: exempt(dead-pub-api, building block for external tooling that assembles its own records)
 pub fn host_metadata() -> Json {
     Json::Object(vec![
         ("cpu_model".to_string(), cpu_model().map(Json::Str).unwrap_or(Json::Null)),
@@ -109,7 +107,6 @@ fn cpu_model() -> Option<String> {
 
 /// Peak resident set size in kB from `/proc/self/status` (`VmHWM`).
 /// `None` where procfs is unavailable (graceful `null` in the record).
-// lint: exempt(dead-pub-api, building block for external tooling that assembles its own records)
 pub fn max_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
@@ -121,7 +118,10 @@ pub fn max_rss_kb() -> Option<u64> {
 
 /// Current time as `YYYY-MM-DDTHH:MM:SSZ`.
 fn utc_now() -> String {
-    // lint: exempt(determinism, bench-record host metadata; records are not simulation results)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench-record host metadata; records are not simulation results"
+    )]
     let now = SystemTime::now();
     format_utc(now.duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or_default())
 }

@@ -8,8 +8,7 @@
 //!
 //! * [`CampaignSpec`] — a declarative description of one campaign
 //!   (profiles × mechanisms × core config × checkpoint scale × seed),
-//!   honouring the same `RSEP_*` environment variables as the `rsep-bench`
-//!   binaries;
+//!   honouring the `RSEP_*` scale environment variables;
 //! * [`Executor`] — a channel-fed thread pool that fans the independent
 //!   `(profile, mechanism, checkpoint)` cells across workers and collects
 //!   outputs by cell index, so results are **bit-identical at any thread
@@ -24,7 +23,7 @@
 //! * [`report`] — JSON / CSV / markdown / fixed-width table emitters built
 //!   on `rsep-stats`;
 //! * [`presets`] — the paper's figure campaigns (Figures 1, 4, 6, 7 and
-//!   the sensitivity sweeps), shared by the `rsep` CLI and `rsep-bench`.
+//!   the sensitivity sweeps) that the `rsep` CLI runs.
 //!
 //! # Quick start
 //!
@@ -87,7 +86,6 @@ use std::time::Duration;
 /// One benchmark row of a campaign: the baseline (when run) and one result
 /// per mechanism, in spec order.
 #[derive(Debug, Clone)]
-// lint: exempt(dead-pub-api, returned by Campaign::run for facade consumers; fields read downstream)
 pub struct ProfileResults {
     /// Benchmark name.
     pub benchmark: String,
@@ -205,7 +203,6 @@ impl Shard {
 
 /// Outcome of a store-backed campaign run ([`Campaign::run_stored`]).
 #[derive(Debug, Clone)]
-// lint: exempt(dead-pub-api, returned by Campaign::run_stored for facade consumers)
 pub struct StoredRun {
     /// The reassembled grid — `Some` exactly when every cell of the grid
     /// was resolved (no shard restriction, or a single-shard run). Sharded

@@ -1,7 +1,7 @@
 //! The paper's figure campaigns as ready-made [`CampaignSpec`]s.
 //!
-//! Shared by the `rsep` CLI and the `rsep-bench` figure harness so there is
-//! exactly one definition of each experiment grid.
+//! Every `rsep` figure subcommand runs one of these, so there is exactly
+//! one definition of each experiment grid.
 
 use crate::spec::CampaignSpec;
 use rsep_core::{FifoHistoryConfig, IsrbConfig, MechanismConfig, RsepConfig, SamplingConfig};

@@ -31,7 +31,10 @@ use rsep_stats::json::Json;
 use rsep_stats::jsonl;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
 use rsep_uarch::{CacheStats, CoreConfig, CoverageCounts, SimStats};
-// lint: exempt(determinism, cell results are keyed by CellKey and emitted in grid order)
+#[expect(
+    clippy::disallowed_types,
+    reason = "cell results are keyed by CellKey and emitted in grid order"
+)]
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -40,7 +43,6 @@ use std::path::{Path, PathBuf};
 
 /// Bumped whenever the key derivation or the stored-cell encoding changes,
 /// so stale stores are invalidated instead of misread.
-// lint: exempt(dead-pub-api, on-disk format contract; external tooling checks it before reading a store)
 pub const STORE_FORMAT_VERSION: u64 = 1;
 
 /// Basis of the second (high) hash lane of a [`CellKey`].
@@ -178,23 +180,31 @@ impl CampaignHeader {
     }
 
     fn to_json(&self) -> Json {
+        let CampaignHeader {
+            id,
+            spec_fingerprint,
+            profiles,
+            mechanisms,
+            baseline,
+            checkpoints,
+            cells,
+        } = self;
         Json::Object(vec![
-            // lint: exempt(json-roundtrip, the kind tag routes lines in read_back and is not a field)
             ("kind".into(), Json::Str("campaign".into())),
             ("version".into(), Json::Num(STORE_FORMAT_VERSION as f64)),
-            ("id".into(), Json::Str(self.id.clone())),
-            ("spec".into(), Json::Str(format!("{:016x}", self.spec_fingerprint))),
+            ("id".into(), Json::Str(id.clone())),
+            ("spec".into(), Json::Str(format!("{spec_fingerprint:016x}"))),
             (
                 "profiles".into(),
-                Json::Array(self.profiles.iter().map(|p| Json::Str(p.clone())).collect()),
+                Json::Array(profiles.iter().map(|p| Json::Str(p.clone())).collect()),
             ),
             (
                 "mechanisms".into(),
-                Json::Array(self.mechanisms.iter().map(|m| Json::Str(m.clone())).collect()),
+                Json::Array(mechanisms.iter().map(|m| Json::Str(m.clone())).collect()),
             ),
-            ("baseline".into(), Json::Bool(self.baseline)),
-            ("checkpoints".into(), Json::Num(self.checkpoints as f64)),
-            ("cells".into(), Json::Num(self.cells as f64)),
+            ("baseline".into(), Json::Bool(*baseline)),
+            ("checkpoints".into(), Json::Num(*checkpoints as f64)),
+            ("cells".into(), Json::Num(*cells as f64)),
         ])
     }
 
@@ -252,59 +262,91 @@ fn u64_field(pairs: &mut Vec<(String, Json)>, key: &str, value: u64) {
 }
 
 fn coverage_to_json(c: &CoverageCounts) -> Json {
+    let CoverageCounts {
+        zero_idiom_elim,
+        move_elim,
+        zero_pred,
+        load_zero_pred,
+        dist_pred,
+        load_dist_pred,
+        value_pred,
+        load_value_pred,
+    } = *c;
     let mut pairs = Vec::new();
-    u64_field(&mut pairs, "zero_idiom_elim", c.zero_idiom_elim);
-    u64_field(&mut pairs, "move_elim", c.move_elim);
-    u64_field(&mut pairs, "zero_pred", c.zero_pred);
-    u64_field(&mut pairs, "load_zero_pred", c.load_zero_pred);
-    u64_field(&mut pairs, "dist_pred", c.dist_pred);
-    u64_field(&mut pairs, "load_dist_pred", c.load_dist_pred);
-    u64_field(&mut pairs, "value_pred", c.value_pred);
-    u64_field(&mut pairs, "load_value_pred", c.load_value_pred);
+    u64_field(&mut pairs, "zero_idiom_elim", zero_idiom_elim);
+    u64_field(&mut pairs, "move_elim", move_elim);
+    u64_field(&mut pairs, "zero_pred", zero_pred);
+    u64_field(&mut pairs, "load_zero_pred", load_zero_pred);
+    u64_field(&mut pairs, "dist_pred", dist_pred);
+    u64_field(&mut pairs, "load_dist_pred", load_dist_pred);
+    u64_field(&mut pairs, "value_pred", value_pred);
+    u64_field(&mut pairs, "load_value_pred", load_value_pred);
     Json::Object(pairs)
 }
 
 fn stats_to_json(s: &SimStats) -> Json {
+    let SimStats {
+        cycles,
+        committed,
+        committed_loads,
+        committed_stores,
+        committed_branches,
+        branch_mispredictions,
+        prediction_squashes,
+        correct_predictions,
+        incorrect_predictions,
+        eligible_instructions,
+        prf_stall_cycles,
+        queue_stall_cycles,
+        watchdog_flushes,
+        validation_issues,
+        validation_port_conflicts,
+        stlf_forwards,
+        rob_occupancy_sum,
+        coverage,
+        cache,
+        predictors,
+    } = s;
     let mut pairs = Vec::new();
-    u64_field(&mut pairs, "cycles", s.cycles);
-    u64_field(&mut pairs, "committed", s.committed);
-    u64_field(&mut pairs, "committed_loads", s.committed_loads);
-    u64_field(&mut pairs, "committed_stores", s.committed_stores);
-    u64_field(&mut pairs, "committed_branches", s.committed_branches);
-    u64_field(&mut pairs, "branch_mispredictions", s.branch_mispredictions);
-    u64_field(&mut pairs, "prediction_squashes", s.prediction_squashes);
-    u64_field(&mut pairs, "correct_predictions", s.correct_predictions);
-    u64_field(&mut pairs, "incorrect_predictions", s.incorrect_predictions);
-    u64_field(&mut pairs, "eligible_instructions", s.eligible_instructions);
-    u64_field(&mut pairs, "prf_stall_cycles", s.prf_stall_cycles);
-    u64_field(&mut pairs, "queue_stall_cycles", s.queue_stall_cycles);
-    u64_field(&mut pairs, "watchdog_flushes", s.watchdog_flushes);
-    u64_field(&mut pairs, "validation_issues", s.validation_issues);
-    u64_field(&mut pairs, "validation_port_conflicts", s.validation_port_conflicts);
-    u64_field(&mut pairs, "stlf_forwards", s.stlf_forwards);
-    u64_field(&mut pairs, "rob_occupancy_sum", s.rob_occupancy_sum);
-    pairs.push(("coverage".into(), coverage_to_json(&s.coverage)));
-    let cache = s
-        .cache
+    u64_field(&mut pairs, "cycles", *cycles);
+    u64_field(&mut pairs, "committed", *committed);
+    u64_field(&mut pairs, "committed_loads", *committed_loads);
+    u64_field(&mut pairs, "committed_stores", *committed_stores);
+    u64_field(&mut pairs, "committed_branches", *committed_branches);
+    u64_field(&mut pairs, "branch_mispredictions", *branch_mispredictions);
+    u64_field(&mut pairs, "prediction_squashes", *prediction_squashes);
+    u64_field(&mut pairs, "correct_predictions", *correct_predictions);
+    u64_field(&mut pairs, "incorrect_predictions", *incorrect_predictions);
+    u64_field(&mut pairs, "eligible_instructions", *eligible_instructions);
+    u64_field(&mut pairs, "prf_stall_cycles", *prf_stall_cycles);
+    u64_field(&mut pairs, "queue_stall_cycles", *queue_stall_cycles);
+    u64_field(&mut pairs, "watchdog_flushes", *watchdog_flushes);
+    u64_field(&mut pairs, "validation_issues", *validation_issues);
+    u64_field(&mut pairs, "validation_port_conflicts", *validation_port_conflicts);
+    u64_field(&mut pairs, "stlf_forwards", *stlf_forwards);
+    u64_field(&mut pairs, "rob_occupancy_sum", *rob_occupancy_sum);
+    pairs.push(("coverage".into(), coverage_to_json(coverage)));
+    let cache = cache
         .iter()
         .map(|(level, c)| {
+            let CacheStats { accesses, misses, prefetch_fills } = *c;
             let mut entry = vec![("level".to_string(), Json::Str((*level).into()))];
-            u64_field(&mut entry, "accesses", c.accesses);
-            u64_field(&mut entry, "misses", c.misses);
-            u64_field(&mut entry, "prefetch_fills", c.prefetch_fills);
+            u64_field(&mut entry, "accesses", accesses);
+            u64_field(&mut entry, "misses", misses);
+            u64_field(&mut entry, "prefetch_fills", prefetch_fills);
             Json::Object(entry)
         })
         .collect();
     pairs.push(("cache".into(), Json::Array(cache)));
-    let predictors = s
-        .predictors
+    let predictors = predictors
         .iter()
         .map(|(family, p)| {
+            let PredictorStats { lookups, used, correct, incorrect } = *p;
             let mut entry = vec![("family".to_string(), Json::Str((*family).into()))];
-            u64_field(&mut entry, "lookups", p.lookups);
-            u64_field(&mut entry, "used", p.used);
-            u64_field(&mut entry, "correct", p.correct);
-            u64_field(&mut entry, "incorrect", p.incorrect);
+            u64_field(&mut entry, "lookups", lookups);
+            u64_field(&mut entry, "used", used);
+            u64_field(&mut entry, "correct", correct);
+            u64_field(&mut entry, "incorrect", incorrect);
             Json::Object(entry)
         })
         .collect();
@@ -439,7 +481,6 @@ fn stats_from_json(v: &Json) -> Result<SimStats, String> {
 /// and a resumed campaign does not silently re-run it as a hole.
 fn cell_to_json(index: usize, key: CellKey, result: &CheckpointResult) -> Json {
     let mut pairs = vec![
-        // lint: exempt(json-roundtrip, the kind tag routes lines in read_back and is not a field)
         ("kind".into(), Json::Str("cell".into())),
         ("index".into(), Json::Num(index as f64)),
         ("key".into(), Json::Str(key.to_string())),
@@ -541,7 +582,10 @@ impl ResultStore for MemoryStore {
 pub struct JsonlStore {
     path: PathBuf,
     header: Option<CampaignHeader>,
-    // lint: exempt(determinism, keyed lookup cache; reports iterate the grid, never this map)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup cache; reports iterate the grid, never this map"
+    )]
     cells: HashMap<CellKey, CheckpointResult>,
     file: Option<fs::File>,
     /// Bytes of the preexisting file covered by complete lines; anything
@@ -562,7 +606,10 @@ impl JsonlStore {
         let mut store = JsonlStore {
             path: path.clone(),
             header: None,
-            // lint: exempt(determinism, keyed lookup cache; reports iterate the grid, never this map)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "keyed lookup cache; reports iterate the grid, never this map"
+            )]
             cells: HashMap::new(),
             file: None,
             durable_len: 0,
@@ -669,7 +716,6 @@ impl ResultStore for JsonlStore {
 }
 
 /// One stored cell: grid index, content-addressed key, and result.
-// lint: exempt(dead-pub-api, named alias documenting the tuple shape Store implementations exchange)
 pub type StoredCell = (usize, CellKey, CheckpointResult);
 
 /// Reads a JSONL store file: the campaign header plus every complete cell
@@ -806,6 +852,63 @@ mod tests {
         (key, CheckpointResult { index: 0, ipc: 456.0 / 123.0, stats, error: None })
     }
 
+    /// A `SimStats` with a distinct non-zero value in every counter, every
+    /// cache level and every predictor family. It is built without `..`, so
+    /// a new field must be given a value here, and a field the codec writes
+    /// but does not read back fails the cell-record round trip.
+    fn full_stats() -> SimStats {
+        let cache =
+            |base: u64| CacheStats { accesses: base, misses: base + 1, prefetch_fills: base + 2 };
+        let predictor = |base: u64| PredictorStats {
+            lookups: base,
+            used: base + 1,
+            correct: base + 2,
+            incorrect: base + 3,
+        };
+        SimStats {
+            cycles: 1,
+            committed: 2,
+            committed_loads: 3,
+            committed_stores: 4,
+            committed_branches: 5,
+            branch_mispredictions: 6,
+            prediction_squashes: 7,
+            correct_predictions: 8,
+            incorrect_predictions: 9,
+            eligible_instructions: 10,
+            prf_stall_cycles: 11,
+            queue_stall_cycles: 12,
+            watchdog_flushes: 13,
+            validation_issues: 14,
+            validation_port_conflicts: 15,
+            stlf_forwards: 16,
+            coverage: CoverageCounts {
+                zero_idiom_elim: 17,
+                move_elim: 18,
+                zero_pred: 19,
+                load_zero_pred: 20,
+                dist_pred: 21,
+                load_dist_pred: 22,
+                value_pred: 23,
+                load_value_pred: 24,
+            },
+            cache: vec![
+                ("L1I", cache(30)),
+                ("L1D", cache(40)),
+                ("L2", cache(50)),
+                ("L3", cache(60)),
+            ],
+            predictors: vec![
+                ("tage", predictor(70)),
+                ("btb", predictor(80)),
+                ("distance", predictor(90)),
+                ("dvtage", predictor(100)),
+                ("zero", predictor(110)),
+            ],
+            rob_occupancy_sum: 25,
+        }
+    }
+
     #[test]
     fn cell_key_is_deterministic_and_sensitive() {
         let profile = BenchmarkProfile::by_name("mcf").unwrap();
@@ -864,7 +967,8 @@ mod tests {
 
     #[test]
     fn cell_record_round_trips_through_json() {
-        let (key, result) = sample_cell();
+        let (key, mut result) = sample_cell();
+        result.stats = full_stats();
         let encoded = cell_to_json(3, key, &result);
         let (index, parsed_key, parsed) = cell_from_json(&encoded).unwrap();
         assert_eq!(index, 3);
@@ -915,5 +1019,18 @@ mod tests {
         let header = CampaignHeader::for_spec(&spec);
         assert_eq!(header.cells, spec.cell_count());
         assert_eq!(CampaignHeader::from_json(&header.to_json()).unwrap(), header);
+
+        // Every field set away from its default, so a key written but not
+        // read back (or read back as a constant) fails the round trip.
+        let full = CampaignHeader {
+            id: "hdr-full".into(),
+            spec_fingerprint: 0xfedc_ba98_7654_3210,
+            profiles: vec!["mcf".into(), "gcc".into()],
+            mechanisms: vec!["baseline".into(), "rsep-ideal".into()],
+            baseline: true,
+            checkpoints: 3,
+            cells: 12,
+        };
+        assert_eq!(CampaignHeader::from_json(&full.to_json()).unwrap(), full);
     }
 }

@@ -4,10 +4,11 @@
 
 use proptest::prelude::*;
 use rsep_campaign::{
-    merge_stored, CachedStore, Campaign, CampaignHeader, CampaignSpec, CellKey, JsonlStore,
-    ResultStore, Shard, StoreError,
+    merge_stored, presets, CachedStore, Campaign, CampaignHeader, CampaignSpec, CellKey,
+    JsonlStore, ResultStore, Shard, StoreError,
 };
 use rsep_core::{checkpoint_seed, CheckpointResult, MechanismConfig, RsepConfig};
+use rsep_isa::Fingerprint;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
 use rsep_uarch::CoreConfig;
 use std::fs;
@@ -322,6 +323,33 @@ fn cell_key_changes_when_any_fingerprinted_field_changes() {
 
     assert_ne!(base, key_for(&profile, &mechanism, &core, spec, 43, 0), "seed");
     assert_ne!(base, key_for(&profile, &mechanism, &core, spec, 42, 1), "checkpoint");
+}
+
+/// Pins the hex key of fixed cells and the fingerprint of a fixed campaign.
+/// Every existing store and disk cache is addressed by these values, so a
+/// fingerprint body may be restructured but must keep hashing the same
+/// fields in the same order.
+#[test]
+fn cell_keys_and_spec_fingerprints_are_pinned() {
+    let profile = BenchmarkProfile::by_name("mcf").unwrap();
+    let core = CoreConfig::table1();
+    let spec = CheckpointSpec::scaled(1, 100_000, 60_000);
+    let keys: Vec<(String, String)> = std::iter::once(MechanismConfig::baseline())
+        .chain(MechanismConfig::figure4_suite())
+        .map(|m| (m.label.clone(), key_for(&profile, &m, &core, spec, 42, 0).to_string()))
+        .collect();
+    let expected = [
+        ("baseline", "12b401eb1f4e110bb83e3d07e677e43c"),
+        ("zero-pred", "307f66a4a4bd7294d1d1111ec0340bc5"),
+        ("move-elim", "051d680e5f739a5ad504c3c3dc610855"),
+        ("rsep-ideal", "1c0e02905e21b24f02596fc3200534d8"),
+        ("vpred", "53121d43025481ad6c914ef1f139f4b6"),
+        ("rsep+vpred", "7511b6491a483829f9aacb258dd6127a"),
+    ];
+    let expected: Vec<(String, String)> =
+        expected.iter().map(|&(l, k)| (l.to_string(), k.to_string())).collect();
+    assert_eq!(keys, expected);
+    assert_eq!(format!("{:016x}", presets::fig4().fingerprint_value()), "520689cf98e72811");
 }
 
 proptest! {

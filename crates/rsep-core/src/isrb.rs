@@ -71,9 +71,10 @@ impl IsrbConfig {
 
 impl rsep_isa::Fingerprint for IsrbConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let IsrbConfig { entries, counter_bits } = self;
         h.write_str("IsrbConfig");
-        self.entries.fingerprint(h);
-        self.counter_bits.fingerprint(h);
+        entries.fingerprint(h);
+        counter_bits.fingerprint(h);
     }
 }
 

@@ -75,9 +75,12 @@ impl Default for Fnv {
 /// Implementations must feed **every field that affects simulation
 /// results** into the hasher, in a fixed order, and should start with a
 /// short type tag (`h.write_str("TypeName")`) so two structurally similar
-/// types never collide. Fields that are pure presentation (labels already
-/// covered elsewhere, derived storage numbers) may be skipped only when
-/// they cannot change the simulated outcome.
+/// types never collide. Struct impls begin with an exhaustive
+/// `let T { a, b, c } = self;` pattern (never `..`), so a new field is a
+/// compile error and an unhashed binding an `unused_variables` warning.
+/// A field that is pure presentation, or proven not to change the
+/// simulated outcome, is bound as `field: _` next to a comment naming the
+/// test that proves it.
 pub trait Fingerprint {
     /// Feeds this value into the hasher.
     fn fingerprint(&self, h: &mut Fnv);

@@ -127,16 +127,27 @@ impl DistancePredictorConfig {
 
 impl rsep_isa::Fingerprint for DistancePredictorConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let DistancePredictorConfig {
+            base_log2,
+            tagged_log2,
+            num_tagged,
+            tag_bits,
+            min_history,
+            max_history,
+            distance_bits,
+            confidence_bits,
+            confidence_denominator,
+        } = self;
         h.write_str("DistancePredictorConfig");
-        self.base_log2.fingerprint(h);
-        self.tagged_log2.fingerprint(h);
-        self.num_tagged.fingerprint(h);
-        self.tag_bits.fingerprint(h);
-        self.min_history.fingerprint(h);
-        self.max_history.fingerprint(h);
-        self.distance_bits.fingerprint(h);
-        self.confidence_bits.fingerprint(h);
-        self.confidence_denominator.fingerprint(h);
+        base_log2.fingerprint(h);
+        tagged_log2.fingerprint(h);
+        num_tagged.fingerprint(h);
+        tag_bits.fingerprint(h);
+        min_history.fingerprint(h);
+        max_history.fingerprint(h);
+        distance_bits.fingerprint(h);
+        confidence_bits.fingerprint(h);
+        confidence_denominator.fingerprint(h);
     }
 }
 
@@ -147,10 +158,27 @@ const NO_DISTANCE: u16 = u16::MAX;
 /// Packed tagged-entry word: tag in bits 0..32, distance in bits 32..48,
 /// raw confidence in bits 48..55 (counter widths are 1..=7 bits), useful
 /// flag in bit 55. A fresh entry is tag `u32::MAX` + [`NO_DISTANCE`].
+const T_TAG_WIDTH: u32 = u32::BITS;
 const T_DIST_SHIFT: u32 = 32;
+const T_DIST_WIDTH: u32 = u16::BITS;
 const T_CONF_SHIFT: u32 = 48;
-const T_USEFUL: u64 = 1 << 55;
+const T_CONF_WIDTH: u32 = 7;
+const T_USEFUL_SHIFT: u32 = 55;
+const T_CONF_MASK: u64 = (1 << T_CONF_WIDTH) - 1;
+const T_USEFUL: u64 = 1 << T_USEFUL_SHIFT;
 const FRESH_TAGGED: u64 = (u32::MAX as u64) | ((NO_DISTANCE as u64) << T_DIST_SHIFT);
+const _: () = assert!(
+    crate::layout::fields_fit(
+        u64::BITS,
+        &[
+            (0, T_TAG_WIDTH),
+            (T_DIST_SHIFT, T_DIST_WIDTH),
+            (T_CONF_SHIFT, T_CONF_WIDTH),
+            (T_USEFUL_SHIFT, 1)
+        ]
+    ),
+    "distance tagged-entry word: fields overlap or overflow the u64"
+);
 
 #[inline]
 fn t_tag(entry: u64) -> u32 {
@@ -164,20 +192,27 @@ fn t_dist(entry: u64) -> u16 {
 
 #[inline]
 fn t_conf(entry: u64) -> u8 {
-    ((entry >> T_CONF_SHIFT) & 0x7f) as u8
+    ((entry >> T_CONF_SHIFT) & T_CONF_MASK) as u8
 }
 
 #[inline]
 fn t_pack(tag: u32, dist: u16, conf: u8, useful: bool) -> u64 {
     u64::from(tag)
         | (u64::from(dist) << T_DIST_SHIFT)
-        | ((u64::from(conf) & 0x7f) << T_CONF_SHIFT)
+        | ((u64::from(conf) & T_CONF_MASK) << T_CONF_SHIFT)
         | if useful { T_USEFUL } else { 0 }
 }
 
-/// Packed base-entry word: distance in bits 0..16, raw confidence above.
+/// Packed base-entry word: distance in bits 0..16, raw confidence in bits
+/// 16..24.
+const B_DIST_WIDTH: u32 = u16::BITS;
 const B_CONF_SHIFT: u32 = 16;
+const B_CONF_WIDTH: u32 = u8::BITS;
 const FRESH_BASE: u32 = NO_DISTANCE as u32;
+const _: () = assert!(
+    crate::layout::fields_fit(u32::BITS, &[(0, B_DIST_WIDTH), (B_CONF_SHIFT, B_CONF_WIDTH)]),
+    "distance base-entry word: fields overlap or overflow the u32"
+);
 
 #[inline]
 fn b_dist(entry: u32) -> u16 {

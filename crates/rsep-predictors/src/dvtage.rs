@@ -100,29 +100,58 @@ impl DvtageConfig {
 
 impl rsep_isa::Fingerprint for DvtageConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let DvtageConfig {
+            base_log2,
+            tagged_log2,
+            num_tagged,
+            tag_bits,
+            min_history,
+            max_history,
+            stride_bits,
+            confidence_bits,
+            confidence_denominator,
+        } = self;
         h.write_str("DvtageConfig");
-        self.base_log2.fingerprint(h);
-        self.tagged_log2.fingerprint(h);
-        self.num_tagged.fingerprint(h);
-        self.tag_bits.fingerprint(h);
-        self.min_history.fingerprint(h);
-        self.max_history.fingerprint(h);
-        self.stride_bits.fingerprint(h);
-        self.confidence_bits.fingerprint(h);
-        self.confidence_denominator.fingerprint(h);
+        base_log2.fingerprint(h);
+        tagged_log2.fingerprint(h);
+        num_tagged.fingerprint(h);
+        tag_bits.fingerprint(h);
+        min_history.fingerprint(h);
+        max_history.fingerprint(h);
+        stride_bits.fingerprint(h);
+        confidence_bits.fingerprint(h);
+        confidence_denominator.fingerprint(h);
     }
 }
 
-/// Valid flag of a packed base metadata byte.
-const VALID: u8 = 1 << 7;
-/// Confidence mask of a packed base metadata byte: the low 6 bits.
-const CONF_MASK: u8 = (1 << 6) - 1;
+/// Packed base metadata byte: raw confidence in bits 0..6, valid flag in
+/// bit 7.
+const CONF_WIDTH: u32 = 6;
+const VALID_SHIFT: u32 = 7;
+const CONF_MASK: u8 = (1 << CONF_WIDTH) - 1;
+const VALID: u8 = 1 << VALID_SHIFT;
+const _: () = assert!(
+    crate::layout::fields_fit(u8::BITS, &[(0, CONF_WIDTH), (VALID_SHIFT, 1)]),
+    "D-VTAGE base metadata byte: fields overlap or overflow the u8"
+);
 
 /// Packed tagged-entry word: tag in bits 0..32, raw confidence in bits
-/// 32..38, valid in bit 38, useful in bit 39.
+/// 32..38, valid in bit 38, useful in bit 39. The confidence field has the
+/// base byte's [`CONF_WIDTH`].
+const T_TAG_WIDTH: u32 = u32::BITS;
 const T_CONF_SHIFT: u32 = 32;
-const T_VALID: u64 = 1 << 38;
-const T_USEFUL: u64 = 1 << 39;
+const T_VALID_SHIFT: u32 = 38;
+const T_USEFUL_SHIFT: u32 = 39;
+const T_CONF_MASK: u64 = (1 << CONF_WIDTH) - 1;
+const T_VALID: u64 = 1 << T_VALID_SHIFT;
+const T_USEFUL: u64 = 1 << T_USEFUL_SHIFT;
+const _: () = assert!(
+    crate::layout::fields_fit(
+        u64::BITS,
+        &[(0, T_TAG_WIDTH), (T_CONF_SHIFT, CONF_WIDTH), (T_VALID_SHIFT, 1), (T_USEFUL_SHIFT, 1)]
+    ),
+    "D-VTAGE tagged-entry word: fields overlap or overflow the u64"
+);
 
 #[inline]
 fn t_tag(entry: u64) -> u32 {
@@ -131,13 +160,13 @@ fn t_tag(entry: u64) -> u32 {
 
 #[inline]
 fn t_conf(entry: u64) -> u8 {
-    ((entry >> T_CONF_SHIFT) & 0x3f) as u8
+    ((entry >> T_CONF_SHIFT) & T_CONF_MASK) as u8
 }
 
 #[inline]
 fn t_pack(tag: u32, conf: u8, valid: bool, useful: bool) -> u64 {
     u64::from(tag)
-        | ((u64::from(conf) & 0x3f) << T_CONF_SHIFT)
+        | ((u64::from(conf) & T_CONF_MASK) << T_CONF_SHIFT)
         | if valid { T_VALID } else { 0 }
         | if useful { T_USEFUL } else { 0 }
 }

@@ -40,6 +40,7 @@ pub mod counters;
 pub mod distance;
 pub mod dvtage;
 pub mod history;
+mod layout;
 pub mod predictor;
 pub mod stack;
 pub mod tage;

@@ -56,10 +56,11 @@ impl PredictorStats {
     /// which the campaign engine relies on for thread-count-invariant
     /// results).
     pub fn merge(&mut self, other: &PredictorStats) {
-        self.lookups += other.lookups;
-        self.used += other.used;
-        self.correct += other.correct;
-        self.incorrect += other.incorrect;
+        let PredictorStats { lookups, used, correct, incorrect } = other;
+        self.lookups += lookups;
+        self.used += used;
+        self.correct += correct;
+        self.incorrect += incorrect;
     }
 
     /// The counters accumulated since `baseline` was captured (counters

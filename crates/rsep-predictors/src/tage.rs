@@ -75,13 +75,15 @@ impl TageConfig {
 
 impl rsep_isa::Fingerprint for TageConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let TageConfig { base_log2, tagged_log2, num_tagged, min_history, max_history, tag_bits } =
+            self;
         h.write_str("TageConfig");
-        self.base_log2.fingerprint(h);
-        self.tagged_log2.fingerprint(h);
-        self.num_tagged.fingerprint(h);
-        self.min_history.fingerprint(h);
-        self.max_history.fingerprint(h);
-        self.tag_bits.fingerprint(h);
+        base_log2.fingerprint(h);
+        tagged_log2.fingerprint(h);
+        num_tagged.fingerprint(h);
+        min_history.fingerprint(h);
+        max_history.fingerprint(h);
+        tag_bits.fingerprint(h);
     }
 }
 
@@ -90,10 +92,22 @@ impl rsep_isa::Fingerprint for TageConfig {
 /// counter in bits 19..21. A fresh entry decodes to
 /// `tag = 0, ctr = 0, useful = 0` — exactly the old
 /// `TaggedEntry::default()`.
-const CTR_BIAS: i8 = 4;
+const TAG_WIDTH: u32 = u16::BITS;
 const CTR_SHIFT: u32 = 16;
+const CTR_WIDTH: u32 = 3;
 const USEFUL_SHIFT: u32 = 19;
+const USEFUL_WIDTH: u32 = 2;
+const CTR_MASK: u32 = (1 << CTR_WIDTH) - 1;
+const USEFUL_MASK: u32 = (1 << USEFUL_WIDTH) - 1;
+const CTR_BIAS: i8 = 1 << (CTR_WIDTH - 1);
 const NEW_ENTRY: u32 = (CTR_BIAS as u32) << CTR_SHIFT;
+const _: () = assert!(
+    crate::layout::fields_fit(
+        u32::BITS,
+        &[(0, TAG_WIDTH), (CTR_SHIFT, CTR_WIDTH), (USEFUL_SHIFT, USEFUL_WIDTH)]
+    ),
+    "TAGE entry word: tag, counter and useful fields overlap or overflow the u32"
+);
 
 #[inline]
 fn entry_tag(entry: u32) -> u16 {
@@ -102,19 +116,19 @@ fn entry_tag(entry: u32) -> u16 {
 
 #[inline]
 fn entry_ctr(entry: u32) -> i8 {
-    ((entry >> CTR_SHIFT) & 0b111) as i8 - CTR_BIAS
+    ((entry >> CTR_SHIFT) & CTR_MASK) as i8 - CTR_BIAS
 }
 
 #[inline]
 fn entry_useful(entry: u32) -> u8 {
-    ((entry >> USEFUL_SHIFT) & 0b11) as u8
+    ((entry >> USEFUL_SHIFT) & USEFUL_MASK) as u8
 }
 
 #[inline]
 fn pack_entry(tag: u16, ctr: i8, useful: u8) -> u32 {
     u32::from(tag)
-        | ((((ctr + CTR_BIAS) as u32) & 0b111) << CTR_SHIFT)
-        | ((u32::from(useful) & 0b11) << USEFUL_SHIFT)
+        | ((((ctr + CTR_BIAS) as u32) & CTR_MASK) << CTR_SHIFT)
+        | ((u32::from(useful) & USEFUL_MASK) << USEFUL_SHIFT)
 }
 
 /// Where a TAGE prediction came from (used for the update policy).

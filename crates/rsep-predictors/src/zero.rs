@@ -46,10 +46,11 @@ impl Default for ZeroPredictorConfig {
 
 impl rsep_isa::Fingerprint for ZeroPredictorConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let ZeroPredictorConfig { entries_log2, confidence_bits, confidence_denominator } = self;
         h.write_str("ZeroPredictorConfig");
-        self.entries_log2.fingerprint(h);
-        self.confidence_bits.fingerprint(h);
-        self.confidence_denominator.fingerprint(h);
+        entries_log2.fingerprint(h);
+        confidence_bits.fingerprint(h);
+        confidence_denominator.fingerprint(h);
     }
 }
 

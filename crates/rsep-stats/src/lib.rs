@@ -2,9 +2,8 @@
 //!
 //! Statistics and report formatting for the RSEP reproduction: the
 //! harmonic-mean IPC aggregation of Section V, speedup computation, and
-//! fixed-width table / JSON / CSV / markdown rendering used by every
-//! experiment binary in `rsep-bench` and by the `rsep-campaign` report
-//! emitters.
+//! fixed-width table / JSON / CSV / markdown rendering used by the
+//! `rsep-campaign` report emitters.
 //!
 //! JSON support is provided by the built-in [`json`] module (the container
 //! cannot fetch `serde`; see `vendor/README.md`), with [`jsonl`] adding the
@@ -33,7 +32,6 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
 }
 
 /// Geometric mean of a slice (0.0 for an empty slice).
-// lint: exempt(dead-pub-api, companion of harmonic_mean for downstream report aggregation)
 pub fn geometric_mean(values: &[f64]) -> f64 {
     let positive: Vec<f64> = values.iter().copied().filter(|v| *v > 0.0).collect();
     if positive.is_empty() {
@@ -63,7 +61,6 @@ pub fn speedup_percent(value: f64, baseline: f64) -> f64 {
 
 /// One data point of an experiment: a benchmark × series value.
 #[derive(Debug, Clone, PartialEq)]
-// lint: exempt(dead-pub-api, element type of Experiment's pub data vector; reached through it)
 pub struct DataPoint {
     /// Benchmark name.
     pub benchmark: String,

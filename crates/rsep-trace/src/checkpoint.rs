@@ -61,17 +61,17 @@ impl Default for CheckpointSpec {
 
 impl rsep_isa::Fingerprint for CheckpointSpec {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let CheckpointSpec { count, warmup, measure, spacing } = self;
         h.write_str("CheckpointSpec");
-        self.count.fingerprint(h);
-        self.warmup.fingerprint(h);
-        self.measure.fingerprint(h);
-        self.spacing.fingerprint(h);
+        count.fingerprint(h);
+        warmup.fingerprint(h);
+        measure.fingerprint(h);
+        spacing.fingerprint(h);
     }
 }
 
 /// One measured checkpoint: the warm-up stream and the measured stream.
 #[derive(Debug)]
-// lint: exempt(dead-pub-api, element type of CheckpointedTrace's pub checkpoints; reached through it)
 pub struct Checkpoint {
     /// Checkpoint index (0-based).
     pub index: usize,

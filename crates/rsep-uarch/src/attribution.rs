@@ -21,8 +21,6 @@
 //! campaign fingerprints — they describe the *simulator*, not the simulated
 //! machine (see `DESIGN.md`).
 
-// lint: exempt-file(obs-gate, defines the attribution types; always compiled for testability)
-
 /// Per-cycle classification of the fetch stage. Exactly one field is
 /// incremented per simulated cycle, so the fields sum to total cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,11 +44,12 @@ impl FetchCycles {
     }
 
     fn merge(&mut self, other: &FetchCycles) {
-        self.active += other.active;
-        self.redirect += other.redirect;
-        self.queue_full += other.queue_full;
-        self.drained += other.drained;
-        self.idle += other.idle;
+        let FetchCycles { active, redirect, queue_full, drained, idle } = other;
+        self.active += active;
+        self.redirect += redirect;
+        self.queue_full += queue_full;
+        self.drained += drained;
+        self.idle += idle;
     }
 }
 
@@ -75,11 +74,12 @@ impl RenameCycles {
     }
 
     fn merge(&mut self, other: &RenameCycles) {
-        self.active += other.active;
-        self.rob_full += other.rob_full;
-        self.queue_full += other.queue_full;
-        self.prf_stall += other.prf_stall;
-        self.starved += other.starved;
+        let RenameCycles { active, rob_full, queue_full, prf_stall, starved } = other;
+        self.active += active;
+        self.rob_full += rob_full;
+        self.queue_full += queue_full;
+        self.prf_stall += prf_stall;
+        self.starved += starved;
     }
 }
 
@@ -105,11 +105,12 @@ impl IssueCycles {
     }
 
     fn merge(&mut self, other: &IssueCycles) {
-        self.active += other.active;
-        self.port_limited += other.port_limited;
-        self.wait_mem += other.wait_mem;
-        self.no_ready += other.no_ready;
-        self.empty += other.empty;
+        let IssueCycles { active, port_limited, wait_mem, no_ready, empty } = other;
+        self.active += active;
+        self.port_limited += port_limited;
+        self.wait_mem += wait_mem;
+        self.no_ready += no_ready;
+        self.empty += empty;
     }
 }
 
@@ -132,11 +133,18 @@ pub struct WorkCounts {
 
 impl WorkCounts {
     fn merge(&mut self, other: &WorkCounts) {
-        self.insts_issued += other.insts_issued;
-        self.loads_issued += other.loads_issued;
-        self.load_misses += other.load_misses;
-        self.stores_issued += other.stores_issued;
-        self.validations_issued += other.validations_issued;
+        let WorkCounts {
+            insts_issued,
+            loads_issued,
+            load_misses,
+            stores_issued,
+            validations_issued,
+        } = other;
+        self.insts_issued += insts_issued;
+        self.loads_issued += loads_issued;
+        self.load_misses += load_misses;
+        self.stores_issued += stores_issued;
+        self.validations_issued += validations_issued;
     }
 }
 
@@ -229,15 +237,16 @@ impl StageAttribution {
     /// addition — order-independent and associative, like
     /// [`SimStats::merge`](crate::SimStats::merge).
     pub fn merge(&mut self, other: &StageAttribution) {
-        self.cycles += other.cycles;
-        self.fetch.merge(&other.fetch);
-        self.rename.merge(&other.rename);
-        self.issue.merge(&other.issue);
-        self.work.merge(&other.work);
-        if self.commit_slots.len() < other.commit_slots.len() {
-            self.commit_slots.resize(other.commit_slots.len(), 0);
+        let StageAttribution { cycles, fetch, rename, issue, work, commit_slots } = other;
+        self.cycles += cycles;
+        self.fetch.merge(fetch);
+        self.rename.merge(rename);
+        self.issue.merge(issue);
+        self.work.merge(work);
+        if self.commit_slots.len() < commit_slots.len() {
+            self.commit_slots.resize(commit_slots.len(), 0);
         }
-        for (mine, theirs) in self.commit_slots.iter_mut().zip(&other.commit_slots) {
+        for (mine, theirs) in self.commit_slots.iter_mut().zip(commit_slots) {
             *mine += *theirs;
         }
     }

@@ -69,9 +69,10 @@ impl CacheStats {
 
     /// Accumulates another run's counters into this one.
     pub fn merge(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.misses += other.misses;
-        self.prefetch_fills += other.prefetch_fills;
+        let CacheStats { accesses, misses, prefetch_fills } = other;
+        self.accesses += accesses;
+        self.misses += misses;
+        self.prefetch_fills += prefetch_fills;
     }
 }
 

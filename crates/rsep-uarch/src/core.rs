@@ -498,7 +498,6 @@ impl<E: SpecEngine> Core<E> {
     /// Per-stage cycle attribution accumulated since the last
     /// [`Core::reset_stats`]. `Some` only when the crate is built with the
     /// `obs` feature; `None` otherwise (the counters do not exist).
-    // lint: exempt(obs-gate, accessor exists in both builds; returns None without obs)
     pub fn attribution(&self) -> Option<&crate::attribution::StageAttribution> {
         #[cfg(feature = "obs")]
         {
@@ -511,7 +510,6 @@ impl<E: SpecEngine> Core<E> {
     }
 
     /// Takes (and resets) the attribution; see [`Core::attribution`].
-    // lint: exempt(obs-gate, accessor exists in both builds; returns None without obs)
     pub fn take_attribution(&mut self) -> Option<crate::attribution::StageAttribution> {
         #[cfg(feature = "obs")]
         {

@@ -80,14 +80,24 @@ impl CoverageCounts {
 
     /// Accumulates another checkpoint's coverage counts into this one.
     pub fn merge(&mut self, other: &CoverageCounts) {
-        self.zero_idiom_elim += other.zero_idiom_elim;
-        self.move_elim += other.move_elim;
-        self.zero_pred += other.zero_pred;
-        self.load_zero_pred += other.load_zero_pred;
-        self.dist_pred += other.dist_pred;
-        self.load_dist_pred += other.load_dist_pred;
-        self.value_pred += other.value_pred;
-        self.load_value_pred += other.load_value_pred;
+        let CoverageCounts {
+            zero_idiom_elim,
+            move_elim,
+            zero_pred,
+            load_zero_pred,
+            dist_pred,
+            load_dist_pred,
+            value_pred,
+            load_value_pred,
+        } = other;
+        self.zero_idiom_elim += zero_idiom_elim;
+        self.move_elim += move_elim;
+        self.zero_pred += zero_pred;
+        self.load_zero_pred += load_zero_pred;
+        self.dist_pred += dist_pred;
+        self.load_dist_pred += load_dist_pred;
+        self.value_pred += value_pred;
+        self.load_value_pred += load_value_pred;
     }
 }
 
@@ -214,31 +224,53 @@ impl SimStats {
     /// per-checkpoint results; the merge is order-independent, which the
     /// campaign engine relies on for thread-count-invariant results).
     pub fn merge(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.committed += other.committed;
-        self.committed_loads += other.committed_loads;
-        self.committed_stores += other.committed_stores;
-        self.committed_branches += other.committed_branches;
-        self.branch_mispredictions += other.branch_mispredictions;
-        self.prediction_squashes += other.prediction_squashes;
-        self.correct_predictions += other.correct_predictions;
-        self.incorrect_predictions += other.incorrect_predictions;
-        self.eligible_instructions += other.eligible_instructions;
-        self.prf_stall_cycles += other.prf_stall_cycles;
-        self.queue_stall_cycles += other.queue_stall_cycles;
-        self.watchdog_flushes += other.watchdog_flushes;
-        self.validation_issues += other.validation_issues;
-        self.validation_port_conflicts += other.validation_port_conflicts;
-        self.stlf_forwards += other.stlf_forwards;
-        self.coverage.merge(&other.coverage);
-        self.rob_occupancy_sum += other.rob_occupancy_sum;
-        for (level, cache) in &other.cache {
+        let SimStats {
+            cycles,
+            committed,
+            committed_loads,
+            committed_stores,
+            committed_branches,
+            branch_mispredictions,
+            prediction_squashes,
+            correct_predictions,
+            incorrect_predictions,
+            eligible_instructions,
+            prf_stall_cycles,
+            queue_stall_cycles,
+            watchdog_flushes,
+            validation_issues,
+            validation_port_conflicts,
+            stlf_forwards,
+            coverage,
+            rob_occupancy_sum,
+            cache,
+            predictors,
+        } = other;
+        self.cycles += cycles;
+        self.committed += committed;
+        self.committed_loads += committed_loads;
+        self.committed_stores += committed_stores;
+        self.committed_branches += committed_branches;
+        self.branch_mispredictions += branch_mispredictions;
+        self.prediction_squashes += prediction_squashes;
+        self.correct_predictions += correct_predictions;
+        self.incorrect_predictions += incorrect_predictions;
+        self.eligible_instructions += eligible_instructions;
+        self.prf_stall_cycles += prf_stall_cycles;
+        self.queue_stall_cycles += queue_stall_cycles;
+        self.watchdog_flushes += watchdog_flushes;
+        self.validation_issues += validation_issues;
+        self.validation_port_conflicts += validation_port_conflicts;
+        self.stlf_forwards += stlf_forwards;
+        self.coverage.merge(coverage);
+        self.rob_occupancy_sum += rob_occupancy_sum;
+        for (level, level_stats) in cache {
             match self.cache.iter_mut().find(|(name, _)| name == level) {
-                Some((_, mine)) => mine.merge(cache),
-                None => self.cache.push((level, *cache)),
+                Some((_, mine)) => mine.merge(level_stats),
+                None => self.cache.push((level, *level_stats)),
             }
         }
-        for (family, stats) in &other.predictors {
+        for (family, stats) in predictors {
             match self.predictors.iter_mut().find(|(name, _)| name == family) {
                 Some((_, mine)) => mine.merge(stats),
                 None => self.predictors.push((family, *stats)),
