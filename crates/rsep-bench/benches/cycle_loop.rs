@@ -56,8 +56,7 @@ const BENCH_JSON_DEFAULT: &str =
 /// Prints absolute throughput (simulated cycles & instructions per second)
 /// for each scheduler — the number the ROADMAP bench trajectory tracks —
 /// and records it as schema-v2 JSON (`BENCH_cycle_loop.json`): host
-/// metadata, max-RSS, and (in `obs` builds) the per-stage cycle
-/// attribution of an instrumented run.
+/// metadata, max-RSS, and the per-stage cycle attribution of one run.
 fn throughput(_c: &mut Criterion) {
     let insts = trace_insts();
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
@@ -107,24 +106,16 @@ fn throughput(_c: &mut Criterion) {
     record.write("RSEP_BENCH_JSON", BENCH_JSON_DEFAULT);
 }
 
-/// Per-stage attribution of one instrumented event-driven run over the
-/// bench trace (`obs` builds only; `null` otherwise).
-#[cfg(feature = "obs")]
+/// Per-stage attribution of one event-driven run over the bench trace.
 fn measured_attribution(insts: &[rsep_isa::DynInst]) -> Json {
     let mut config = CoreConfig::table1();
     config.scheduler = SchedulerKind::EventDriven;
     let mut core = Core::baseline(config);
     let mut trace = insts.iter().cloned();
     core.run(&mut trace, COMMITS).expect("bench trace cannot wedge");
-    let attribution = core.take_attribution().expect("obs build");
+    let attribution = core.take_attribution();
     attribution.validate(core.stats().cycles).expect("attribution sums to cycles");
     rsep_bench::record::attribution_json(&attribution)
-}
-
-/// Without the `obs` feature the counters do not exist; record `null`.
-#[cfg(not(feature = "obs"))]
-fn measured_attribution(_insts: &[rsep_isa::DynInst]) -> Json {
-    Json::Null
 }
 
 criterion_group!(benches, bench, throughput);

@@ -11,8 +11,9 @@
 //!   (`VmHWM`), `null` where procfs is unavailable;
 //! * bench-specific parameters and a `results` array (one labelled object
 //!   per measured variant, throughput fields named `*_per_sec`);
-//! * `attribution` — the per-stage cycle attribution of an instrumented
-//!   run when built with the `obs` feature, `null` otherwise.
+//! * `attribution` — the per-stage cycle attribution of one measured run:
+//!   always an object in `cycle_loop`'s record (the counters are always
+//!   on), `null` in the records of benches that do not report one.
 //!
 //! The `results` entries are what `bench_gate` (the CI regression gate)
 //! compares against the committed copy of the record.
@@ -34,8 +35,8 @@ pub struct BenchRecord {
     /// One labelled object per measured variant; throughput fields must be
     /// named `*_per_sec` for the regression gate to compare them.
     pub results: Vec<Json>,
-    /// Per-stage cycle attribution of an instrumented run (`Json::Null`
-    /// when the workspace is built without the `obs` feature).
+    /// Per-stage cycle attribution of one measured run, or `Json::Null`
+    /// for a bench that does not report one.
     pub attribution: Json,
 }
 
@@ -156,8 +157,7 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 /// The per-stage attribution of `attribution` as record JSON. Exposed for
-/// the instrumented benches; callers without the `obs` feature pass
-/// [`Json::Null`] directly.
+/// the benches that report one; the others pass [`Json::Null`] directly.
 pub fn attribution_json(attribution: &rsep_uarch::StageAttribution) -> Json {
     let mut stages: Vec<(String, Vec<(String, Json)>)> = Vec::new();
     for (stage, class, cycles) in attribution.stage_rows() {

@@ -23,14 +23,14 @@
 //!                     byte-identical to the live campaign's
 //!
 //! flags:
-//!   --jobs N         worker threads (default: RSEP_JOBS or all cores)
+//!   --jobs N         worker threads (default: all cores)
 //!   --smoke          CI-smoke scale: 6 profiles, 1 × (2K + 8K) instructions
 //!   --json | --csv | --md   report format (default: fixed-width table)
 //!   --benchmarks L   comma-separated profile subset
-//!   --seed N         campaign seed        (default: RSEP_SEED or 42)
-//!   --checkpoints N  checkpoints/profile  (default: RSEP_CHECKPOINTS or 1)
-//!   --warmup N       warm-up instructions (default: RSEP_WARMUP or 100000)
-//!   --measure N      measured instructions (default: RSEP_MEASURE or 60000)
+//!   --seed N         campaign seed        (default: 42)
+//!   --checkpoints N  checkpoints/profile  (default: 1)
+//!   --warmup N       warm-up instructions (default: 100000)
+//!   --measure N      measured instructions (default: 60000)
 //!   --store jsonl:P  stream cells to an append-only JSONL file; re-running
 //!                    with an existing file resumes, simulating only
 //!                    missing cells (fig4/fig5/fig6/fig7)
@@ -41,8 +41,7 @@
 //!   --storage        with `run`: print the per-mechanism storage-budget
 //!                    report (Table II: RSEP ≈10.1 KB vs D-VTAGE ≈256 KB)
 //!                    and exit without simulating
-//!   --attribution    with `run`: simulate the baseline core instrumented
-//!                    (needs a build with the `obs` feature) and print the
+//!   --attribution    with `run`: simulate the baseline core and print the
 //!                    per-stage cycle-attribution table instead of the
 //!                    evaluation reports; honours --benchmarks / --seed /
 //!                    --checkpoints / --warmup / --measure / --smoke
@@ -278,9 +277,17 @@ impl Cli {
         Ok(spec)
     }
 
+    /// Worker pool honouring `--jobs` (default: all cores), `--quiet` and
+    /// `--progress`.
+    fn executor(&self) -> Executor {
+        self.jobs
+            .map_or_else(Executor::auto, Executor::new)
+            .with_progress(!self.quiet)
+            .with_heartbeat(self.progress)
+    }
+
     fn campaign(&self) -> Campaign {
-        let jobs = self.jobs.unwrap_or_else(rsep_campaign::jobs_from_env);
-        Campaign::new(Executor::new(jobs).with_progress(!self.quiet).with_heartbeat(self.progress))
+        Campaign::new(self.executor())
     }
 
     fn emit(&self, exp: &Experiment) {
@@ -492,7 +499,6 @@ fn validate(cli: &Cli) -> Result<(), Failure> {
 /// per-stage attribution counters live, and renders the merged table. The
 /// counters describe the *simulator* (where its cycles go), so this report
 /// is separate from the evaluation reports and never part of them.
-#[cfg(feature = "obs")]
 fn attribution_text(cli: &Cli) -> Result<String, Failure> {
     let spec = cli.configure(presets::fig1())?;
     let mut merged = rsep_uarch::StageAttribution::default();
@@ -518,7 +524,7 @@ fn attribution_text(cli: &Cli) -> Result<String, Failure> {
             core.run(&mut trace, spec.checkpoints.warmup).map_err(|e| fail(&e))?;
             core.reset_stats(); // also clears warm-up attribution
             core.run(&mut trace, spec.checkpoints.measure).map_err(|e| fail(&e))?;
-            let attribution = core.take_attribution().expect("obs build");
+            let attribution = core.take_attribution();
             attribution.validate(core.stats().cycles).map_err(|e| fail(&e))?;
             cycles += attribution.cycles;
             merged.merge(&attribution);
@@ -528,15 +534,6 @@ fn attribution_text(cli: &Cli) -> Result<String, Failure> {
     out.push('\n');
     out.push_str(&merged.render_table());
     Ok(out)
-}
-
-/// Without the `obs` feature the counters are compiled out entirely.
-#[cfg(not(feature = "obs"))]
-fn attribution_text(_cli: &Cli) -> Result<String, Failure> {
-    Err(runtime_error(
-        "--attribution needs an instrumented build: rebuild with the `obs` feature, e.g.\n  \
-         cargo run --release --features obs --bin rsep -- run --attribution",
-    ))
 }
 
 /// Resolves the campaign preset a trace corpus is recorded for / replayed
@@ -650,11 +647,8 @@ fn run_trace(cli: &Cli) -> Result<(), Failure> {
             let spec = cli.configure(trace_campaign(target)?)?;
             let dir = std::path::Path::new(cli.dir.as_deref().expect("validated"));
             let corpus = rsep_campaign::open_corpus(dir, &spec).map_err(runtime_error)?;
-            let jobs = cli.jobs.unwrap_or_else(rsep_campaign::jobs_from_env);
-            let executor =
-                Executor::new(jobs).with_progress(!cli.quiet).with_heartbeat(cli.progress);
-            let result =
-                rsep_campaign::replay_campaign(&executor, &spec, &corpus).map_err(runtime_error)?;
+            let result = rsep_campaign::replay_campaign(&cli.executor(), &spec, &corpus)
+                .map_err(runtime_error)?;
             cli.emit_grid(&result);
             cli.note(format!(
                 "{}: replayed {} cells from {} trace file(s) in {:.2?}",

@@ -7,8 +7,7 @@
 //! into a first-class subsystem:
 //!
 //! * [`CampaignSpec`] — a declarative description of one campaign
-//!   (profiles × mechanisms × core config × checkpoint scale × seed),
-//!   honouring the `RSEP_*` scale environment variables;
+//!   (profiles × mechanisms × core config × checkpoint scale × seed);
 //! * [`Executor`] — a channel-fed thread pool that fans the independent
 //!   `(profile, mechanism, checkpoint)` cells across workers and collects
 //!   outputs by cell index, so results are **bit-identical at any thread
@@ -56,7 +55,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod env;
 pub mod executor;
 pub mod presets;
 pub mod replay;
@@ -64,7 +62,6 @@ pub mod report;
 pub mod spec;
 pub mod store;
 
-pub use env::jobs_from_env;
 pub use executor::{ExecStats, Executor};
 pub use replay::{open_corpus, record_campaign, replay_campaign, RecordedTrace};
 pub use report::ReportFormat;
@@ -397,9 +394,9 @@ impl Campaign {
         Campaign::new(Executor::new(jobs))
     }
 
-    /// Engine honouring `RSEP_JOBS` (default: machine parallelism).
-    pub fn from_env() -> Campaign {
-        Campaign::with_jobs(jobs_from_env())
+    /// Engine with one worker per available hardware thread.
+    pub fn auto() -> Campaign {
+        Campaign::new(Executor::auto())
     }
 
     /// Runs a simulation campaign: every `(profile, mechanism, checkpoint)`

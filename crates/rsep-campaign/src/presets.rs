@@ -10,13 +10,13 @@ use rsep_uarch::ValidationKind;
 /// Figure 1: committed-value redundancy (run with
 /// [`Campaign::run_redundancy`](crate::Campaign::run_redundancy)).
 pub fn fig1() -> CampaignSpec {
-    CampaignSpec::new("figure1").with_baseline(false).apply_env()
+    CampaignSpec::new("figure1").with_baseline(false)
 }
 
 /// Figure 4: zero prediction, move elimination, RSEP (ideal), value
 /// prediction and RSEP + VP vs the baseline.
 pub fn fig4() -> CampaignSpec {
-    CampaignSpec::new("figure4").with_mechanisms(MechanismConfig::figure4_suite()).apply_env()
+    CampaignSpec::new("figure4").with_mechanisms(MechanismConfig::figure4_suite())
 }
 
 /// The validation/sampling variants of Figure 6, labelled.
@@ -43,14 +43,12 @@ pub fn fig6_variants() -> Vec<(String, MechanismConfig)> {
 pub fn fig6() -> CampaignSpec {
     CampaignSpec::new("figure6")
         .with_mechanisms(fig6_variants().into_iter().map(|(_, m)| m).collect())
-        .apply_env()
 }
 
 /// Figure 7: ideal RSEP vs the realistic 10.1 KB configuration.
 pub fn fig7() -> CampaignSpec {
     CampaignSpec::new("figure7")
         .with_mechanisms(vec![MechanismConfig::rsep_ideal(), MechanismConfig::rsep_realistic()])
-        .apply_env()
 }
 
 /// Figure 5: coverage of RSEP alone and VP-on-top-of-RSEP (no baseline —
@@ -59,7 +57,6 @@ pub fn fig5() -> CampaignSpec {
     CampaignSpec::new("figure5")
         .with_mechanisms(vec![MechanismConfig::rsep_ideal(), MechanismConfig::rsep_plus_vp()])
         .with_baseline(false)
-        .apply_env()
 }
 
 /// Section VI-A2 sweep: FIFO history depth sensitivity.
@@ -74,7 +71,7 @@ pub fn sweep_history() -> CampaignSpec {
             m
         })
         .collect();
-    CampaignSpec::new("ablation-history").with_mechanisms(mechanisms).apply_env()
+    CampaignSpec::new("ablation-history").with_mechanisms(mechanisms)
 }
 
 /// Section VI-A3 sweep: ISRB size sensitivity (plus the unlimited point).
@@ -92,7 +89,7 @@ pub fn sweep_isrb() -> CampaignSpec {
     let mut unlimited = MechanismConfig::rsep_ideal();
     unlimited.label = "isrb-unlimited".into();
     mechanisms.push(unlimited);
-    CampaignSpec::new("ablation-isrb").with_mechanisms(mechanisms).apply_env()
+    CampaignSpec::new("ablation-isrb").with_mechanisms(mechanisms)
 }
 
 /// Section IV-A sweep: pairing-hash width sensitivity.
@@ -107,7 +104,7 @@ pub fn sweep_hash() -> CampaignSpec {
             m
         })
         .collect();
-    CampaignSpec::new("ablation-hash").with_mechanisms(mechanisms).apply_env()
+    CampaignSpec::new("ablation-hash").with_mechanisms(mechanisms)
 }
 
 /// Every sensitivity sweep, for `rsep sweep`.

@@ -5,19 +5,11 @@
 //! checkpoint scale × seed. The runner expands it into independent
 //! `(profile, mechanism, checkpoint)` cells for the executor.
 //!
-//! Scale knobs honour the `RSEP_*` environment variables (see
-//! [`CampaignSpec::apply_env`]):
-//!
-//! | variable | meaning |
-//! |---|---|
-//! | `RSEP_CHECKPOINTS` | checkpoints per benchmark |
-//! | `RSEP_WARMUP` | warm-up instructions per checkpoint |
-//! | `RSEP_MEASURE` | measured instructions per checkpoint |
-//! | `RSEP_BENCHMARKS` | comma-separated benchmark subset (or `all`) |
-//! | `RSEP_SEED` | trace generation seed |
-//! | `RSEP_JOBS` | worker threads (0 = machine parallelism) |
+//! A spec never reads the process environment: scale, seed and benchmark
+//! subset come from [`CampaignSpec::new`]'s defaults and the `with_*`
+//! builders (which the `rsep` CLI flags call), so the same spec always
+//! expands to the same cells.
 
-use crate::env::env_u64;
 use rsep_core::MechanismConfig;
 use rsep_isa::Fingerprint;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
@@ -67,8 +59,8 @@ impl Fingerprint for CampaignSpec {
 
 impl CampaignSpec {
     /// A campaign with the default evaluation setting: the full SPEC-like
-    /// suite, Table I core, the default checkpoint scale, seed 42, no
-    /// mechanisms yet.
+    /// suite, Table I core, one checkpoint of 100K warm-up plus 60K
+    /// measured instructions, seed 42, no mechanisms yet.
     pub fn new(id: impl Into<String>) -> CampaignSpec {
         CampaignSpec {
             id: id.into(),
@@ -76,12 +68,8 @@ impl CampaignSpec {
             mechanisms: Vec::new(),
             baseline: true,
             core_config: CoreConfig::table1(),
-            checkpoints: CheckpointSpec::scaled(
-                env_u64("RSEP_CHECKPOINTS", 1) as usize,
-                env_u64("RSEP_WARMUP", 100_000),
-                env_u64("RSEP_MEASURE", 60_000),
-            ),
-            seed: env_u64("RSEP_SEED", 42),
+            checkpoints: CheckpointSpec::scaled(1, 100_000, 60_000),
+            seed: 42,
         }
     }
 
@@ -129,7 +117,7 @@ impl CampaignSpec {
     /// Shrinks the campaign to CI-smoke size: one checkpoint of 2K warm-up
     /// plus 8K measured instructions, and — when no subset was selected
     /// yet — six representative profiles. An explicit selection
-    /// (`RSEP_BENCHMARKS` or `--benchmarks`) is kept as-is, so smoke
+    /// (`--benchmarks`) is kept as-is, so smoke
     /// changes scale, not choice.
     pub fn smoke(mut self) -> CampaignSpec {
         if self.profiles.len() == BenchmarkProfile::spec2006().len() {
@@ -138,15 +126,6 @@ impl CampaignSpec {
         }
         self.checkpoints = CheckpointSpec::scaled(1, 2_000, 8_000);
         self
-    }
-
-    /// Applies the `RSEP_BENCHMARKS` environment filter (the scale
-    /// variables are already read by [`CampaignSpec::new`]).
-    pub fn apply_env(self) -> CampaignSpec {
-        match std::env::var("RSEP_BENCHMARKS") {
-            Ok(list) => self.with_benchmark_filter(&list),
-            Err(_) => self,
-        }
     }
 
     /// Number of simulation cells this spec expands to.

@@ -2,11 +2,9 @@
 //! reproduce the digests committed under `tests/expected/`, bit for bit.
 //!
 //! The golden-stats suite proves two *live* configurations agree with each
-//! other; this suite pins the results against a *committed* artifact, which
-//! is what proves the `obs` feature changes nothing: CI runs these tests
-//! both with and without `--features obs`, and both builds must match the
-//! same committed file. Any simulator-behaviour change (intended or not)
-//! shows up as a digest diff in review.
+//! other; this suite pins the results against a *committed* artifact, so
+//! any simulator-behaviour change (intended or not) shows up as a digest
+//! diff in review.
 //!
 //! The digest per campaign: the rendered speedup report JSON, then one line
 //! per (benchmark, mechanism) cell with the full `SimStats` debug

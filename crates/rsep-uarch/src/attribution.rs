@@ -1,4 +1,4 @@
-//! Per-stage cycle attribution (the `obs` observability feature).
+//! Per-stage cycle attribution.
 //!
 //! [`StageAttribution`] answers "where do the simulated cycles go?" — the
 //! question the single opaque throughput numbers in `BENCH_*.json` cannot.
@@ -6,20 +6,15 @@
 //! rename, issue) into a work-or-stall class, and the commit stage records
 //! a commit-slot utilization histogram; each per-stage breakdown therefore
 //! provably sums to the total simulated cycles
-//! ([`StageAttribution::validate`]).
-//!
-//! The struct itself is always compiled (so its merge/validate logic is
-//! testable in every build), but the *instrumentation* in
-//! [`Core`](crate::Core) only exists under the `obs` cargo feature — with
-//! the feature off, the counters cost nothing and
-//! [`Core::attribution`](crate::Core::attribution) returns `None`.
+//! ([`StageAttribution::validate`]). [`Core`](crate::Core) always keeps
+//! these counters; [`Core::attribution`](crate::Core::attribution) reads
+//! them.
 //!
 //! Attribution counters deliberately live **outside**
-//! [`SimStats`](crate::SimStats): the simulated behaviour (and therefore
-//! `SimStats`) is bit-identical with the feature on or off, which the
-//! golden-stats tests pin, and the counters are likewise excluded from
-//! campaign fingerprints — they describe the *simulator*, not the simulated
-//! machine (see `DESIGN.md`).
+//! [`SimStats`](crate::SimStats): they only observe the pipeline and never
+//! feed back into it, so `SimStats` is the same whether or not anyone reads
+//! them, and they are likewise excluded from campaign fingerprints — they
+//! describe the *simulator*, not the simulated machine (see `DESIGN.md`).
 
 /// Per-cycle classification of the fetch stage. Exactly one field is
 /// incremented per simulated cycle, so the fields sum to total cycles.

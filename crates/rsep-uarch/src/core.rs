@@ -14,7 +14,6 @@
 //! Mechanism-relevant behaviour (rename, sharing, validation issue slots,
 //! commit-time squash on mispredictions) is modelled in full.
 
-#[cfg(feature = "obs")]
 use crate::attribution::{RenameBlock, StageAttribution};
 use crate::cache::{CacheHierarchy, MemRequest};
 use crate::config::{CoreConfig, SchedulerKind};
@@ -27,17 +26,6 @@ use crate::stats::SimStats;
 use rsep_isa::{DynInst, OpClass, PhysReg};
 use rsep_predictors::{PredictRequest, PredictorStack, PredictorStats};
 use std::collections::VecDeque;
-
-/// Statement-level gate for the `obs` observability instrumentation: the
-/// body compiles (and costs) nothing unless the feature is enabled.
-macro_rules! obs {
-    ($($body:tt)*) => {
-        #[cfg(feature = "obs")]
-        {
-            $($body)*
-        }
-    };
-}
 
 /// Cycles without a commit before the watchdog flushes the pipeline.
 const WATCHDOG_FLUSH_CYCLES: u64 = 2_000;
@@ -367,15 +355,13 @@ pub struct Core<E: SpecEngine = Box<dyn SpecEngine>> {
     last_fetch_block: u64,
     engine: E,
     stats: SimStats,
-    /// Per-stage cycle attribution (the `obs` observability feature).
+    /// Per-stage cycle attribution.
     /// Deliberately outside [`SimStats`]: attribution describes the
     /// simulator's own stage utilization and is excluded from golden-stats
     /// comparisons and fingerprints (see `DESIGN.md`).
-    #[cfg(feature = "obs")]
     attribution: StageAttribution,
     /// Latest completion cycle among issued loads that missed in the L1D —
     /// the issue stage's "waiting on memory" signal for attribution.
-    #[cfg(feature = "obs")]
     miss_outstanding_until: u64,
     trace_done: bool,
     /// Last cycle of commit *or* watchdog recovery — paces the watchdog
@@ -456,9 +442,7 @@ impl<E: SpecEngine> Core<E> {
             last_fetch_block: u64::MAX,
             engine,
             stats: SimStats::default(),
-            #[cfg(feature = "obs")]
             attribution: StageAttribution::default(),
-            #[cfg(feature = "obs")]
             miss_outstanding_until: 0,
             trace_done: false,
             clock: 0,
@@ -490,35 +474,18 @@ impl<E: SpecEngine> Core<E> {
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
         self.predictor_baseline = self.current_predictor_stats();
-        obs! {
-            self.attribution = StageAttribution::default();
-        }
+        self.attribution = StageAttribution::default();
     }
 
     /// Per-stage cycle attribution accumulated since the last
-    /// [`Core::reset_stats`]. `Some` only when the crate is built with the
-    /// `obs` feature; `None` otherwise (the counters do not exist).
-    pub fn attribution(&self) -> Option<&crate::attribution::StageAttribution> {
-        #[cfg(feature = "obs")]
-        {
-            Some(&self.attribution)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            None
-        }
+    /// [`Core::reset_stats`].
+    pub fn attribution(&self) -> &StageAttribution {
+        &self.attribution
     }
 
     /// Takes (and resets) the attribution; see [`Core::attribution`].
-    pub fn take_attribution(&mut self) -> Option<crate::attribution::StageAttribution> {
-        #[cfg(feature = "obs")]
-        {
-            Some(std::mem::take(&mut self.attribution))
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            None
-        }
+    pub fn take_attribution(&mut self) -> StageAttribution {
+        std::mem::take(&mut self.attribution)
     }
 
     /// The cumulative per-predictor counters (front-end stack first, then
@@ -637,9 +604,7 @@ impl<E: SpecEngine> Core<E> {
         self.fetch(trace);
         self.stats.rob_occupancy_sum += self.rob.len() as u64;
         self.stats.cycles += 1;
-        obs! {
-            self.attribution.cycles += 1;
-        }
+        self.attribution.cycles += 1;
         self.clock += 1;
     }
 
@@ -683,9 +648,7 @@ impl<E: SpecEngine> Core<E> {
                 break;
             }
         }
-        obs! {
-            self.attribution.record_commit(committed_this_cycle);
-        }
+        self.attribution.record_commit(committed_this_cycle);
     }
 
     fn retire_resources(&mut self, entry: &InflightInst) {
@@ -883,9 +846,7 @@ impl<E: SpecEngine> Core<E> {
         });
         self.stats.validation_issues += issued_validations;
         self.stats.validation_port_conflicts += conflicts;
-        obs! {
-            self.attribution.work.validations_issued += issued_validations;
-        }
+        self.attribution.work.validations_issued += issued_validations;
     }
 
     /// Event-driven select: iterate only the ready set (populated by wakeup
@@ -897,9 +858,7 @@ impl<E: SpecEngine> Core<E> {
         let mut ports = PortBudget::new(&self.config);
         let div_free = self.div_busy_until <= self.clock;
         let fpdiv_free = self.fpdiv_busy_until <= self.clock;
-        #[cfg(feature = "obs")]
         let mut port_blocked = 0u64;
-        #[cfg(feature = "obs")]
         let (validations_before, conflicts_before) =
             (self.stats.validation_issues, self.stats.validation_port_conflicts);
         self.issue_validations(&mut ports);
@@ -945,9 +904,7 @@ impl<E: SpecEngine> Core<E> {
             }
             if !ports.try_issue(op, div_free, fpdiv_free) {
                 // Port conflict: stays in the ready set for next cycle.
-                obs! {
-                    port_blocked += 1;
-                }
+                port_blocked += 1;
                 idx += 1;
                 continue;
             }
@@ -955,21 +912,18 @@ impl<E: SpecEngine> Core<E> {
             issued.push(slot);
         }
         self.apply_issues(&issued);
-        obs! {
-            self.classify_issue_cycle(
-                issued.len() as u64,
-                validations_before,
-                port_blocked,
-                conflicts_before,
-            );
-        }
+        self.classify_issue_cycle(
+            issued.len() as u64,
+            validations_before,
+            port_blocked,
+            conflicts_before,
+        );
         issued.clear();
         self.issued_scratch = issued;
     }
 
     /// Classifies this cycle for issue-stage attribution from what the
-    /// select loop observed (`obs` feature only).
-    #[cfg(feature = "obs")]
+    /// select loop observed.
     fn classify_issue_cycle(
         &mut self,
         issued_insts: u64,
@@ -991,9 +945,7 @@ impl<E: SpecEngine> Core<E> {
         let mut ports = PortBudget::new(&self.config);
         let div_free = self.div_busy_until <= self.clock;
         let fpdiv_free = self.fpdiv_busy_until <= self.clock;
-        #[cfg(feature = "obs")]
         let mut port_blocked = 0u64;
-        #[cfg(feature = "obs")]
         let (validations_before, conflicts_before) =
             (self.stats.validation_issues, self.stats.validation_port_conflicts);
         self.issue_validations(&mut ports);
@@ -1028,9 +980,7 @@ impl<E: SpecEngine> Core<E> {
                     }
                 }
                 if !ports.try_issue(entry.inst.op, div_free, fpdiv_free) {
-                    obs! {
-                        port_blocked += 1;
-                    }
+                    port_blocked += 1;
                     continue;
                 }
                 issued.push(entry.slot());
@@ -1040,14 +990,12 @@ impl<E: SpecEngine> Core<E> {
         // Apply the issue decisions (needs mutable access to several parts
         // of `self`, hence the two-phase structure).
         self.apply_issues(&issued);
-        obs! {
-            self.classify_issue_cycle(
-                issued.len() as u64,
-                validations_before,
-                port_blocked,
-                conflicts_before,
-            );
-        }
+        self.classify_issue_cycle(
+            issued.len() as u64,
+            validations_before,
+            port_blocked,
+            conflicts_before,
+        );
         issued.clear();
         self.issued_scratch = issued;
     }
@@ -1075,12 +1023,9 @@ impl<E: SpecEngine> Core<E> {
             let loads = std::mem::take(&mut self.mem_loads);
             for &(slot, request_idx) in &loads {
                 let latency = self.mem_batch[request_idx as usize].latency;
-                obs! {
-                    if latency > self.config.l1d_latency {
-                        self.attribution.work.load_misses += 1;
-                        self.miss_outstanding_until =
-                            self.miss_outstanding_until.max(clock + latency);
-                    }
+                if latency > self.config.l1d_latency {
+                    self.attribution.work.load_misses += 1;
+                    self.miss_outstanding_until = self.miss_outstanding_until.max(clock + latency);
                 }
                 self.finish_load_issue(slot, clock + latency);
             }
@@ -1100,14 +1045,12 @@ impl<E: SpecEngine> Core<E> {
         let mem = entry.inst.mem;
         let pc = entry.inst.pc;
         let seq = entry.seq();
-        obs! {
-            self.attribution.work.insts_issued += 1;
-            if op.is_load() {
-                self.attribution.work.loads_issued += 1;
-            }
-            if op.is_store() {
-                self.attribution.work.stores_issued += 1;
-            }
+        self.attribution.work.insts_issued += 1;
+        if op.is_load() {
+            self.attribution.work.loads_issued += 1;
+        }
+        if op.is_store() {
+            self.attribution.work.stores_issued += 1;
         }
         // `None` means "a batched cache access resolves it".
         let complete_at = match op {
@@ -1230,7 +1173,6 @@ impl<E: SpecEngine> Core<E> {
         // Attribution: when nothing renames this cycle, remember why the
         // loop stopped (the default — an empty or not-yet-decoded fetch
         // queue — is frontend starvation).
-        #[cfg(feature = "obs")]
         let mut block = RenameBlock::Starved;
         let mut renamed = 0;
         while renamed < self.config.rename_width {
@@ -1242,32 +1184,24 @@ impl<E: SpecEngine> Core<E> {
             }
             if self.rob.is_full() {
                 self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::RobFull;
-                }
+                block = RenameBlock::RobFull;
                 break;
             }
             let inst = &front.inst;
             let executes_by_default = !matches!(inst.op, OpClass::Nop);
             if executes_by_default && self.iq_count >= self.config.iq_size {
                 self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::QueueFull;
-                }
+                block = RenameBlock::QueueFull;
                 break;
             }
             if inst.op.is_load() && self.lq_count >= self.config.lq_size {
                 self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::QueueFull;
-                }
+                block = RenameBlock::QueueFull;
                 break;
             }
             if inst.op.is_store() && self.sq_count >= self.config.sq_size {
                 self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::QueueFull;
-                }
+                block = RenameBlock::QueueFull;
                 break;
             }
             let produces = inst.produces_register();
@@ -1280,9 +1214,7 @@ impl<E: SpecEngine> Core<E> {
                 let needs_possible_alloc = !matches!(inst.op, OpClass::Move | OpClass::ZeroIdiom);
                 if needs_possible_alloc && self.regs.file(class).free_count() == 0 {
                     self.stats.prf_stall_cycles += 1;
-                    obs! {
-                        block = RenameBlock::PrfStall;
-                    }
+                    block = RenameBlock::PrfStall;
                     break;
                 }
             }
@@ -1298,9 +1230,7 @@ impl<E: SpecEngine> Core<E> {
             self.dispatch_one(inst, action, fetched.mispredicted);
             renamed += 1;
         }
-        obs! {
-            self.attribution.classify_rename(renamed as u64, block);
-        }
+        self.attribution.classify_rename(renamed as u64, block);
     }
 
     fn dispatch_one(&mut self, inst: DynInst, action: RenameAction, mispredicted: bool) {
@@ -1476,34 +1406,28 @@ impl<E: SpecEngine> Core<E> {
 
     fn fetch(&mut self, trace: &mut impl Iterator<Item = DynInst>) {
         if self.clock < self.fetch_resume_at || self.pending_redirect.is_some() {
-            obs! {
-                self.attribution.fetch.redirect += 1;
-            }
+            self.attribution.fetch.redirect += 1;
             return;
         }
         debug_assert!(self.mem_batch.is_empty() && self.fetch_pending.is_empty());
-        #[cfg(feature = "obs")]
         let queue_len_before = self.fetch_queue.len();
-        #[cfg(feature = "obs")]
         let queue_was_full = self.fetch_queue.len() >= self.config.fetch_queue_size;
         self.fetch_block(trace);
         self.resolve_fetch_batch();
-        obs! {
-            // Even the batched frontend's misprediction unwind keeps the
-            // mispredicted branch itself enqueued, so "the queue grew" is
-            // exactly "at least one instruction was delivered".
-            let delivered = self.fetch_queue.len() > queue_len_before;
-            let drained = self.trace_done && self.replay.is_empty();
-            let fetch = &mut self.attribution.fetch;
-            if delivered {
-                fetch.active += 1;
-            } else if queue_was_full {
-                fetch.queue_full += 1;
-            } else if drained {
-                fetch.drained += 1;
-            } else {
-                fetch.idle += 1;
-            }
+        // Even the batched frontend's misprediction unwind keeps the
+        // mispredicted branch itself enqueued, so "the queue grew" is
+        // exactly "at least one instruction was delivered".
+        let delivered = self.fetch_queue.len() > queue_len_before;
+        let drained = self.trace_done && self.replay.is_empty();
+        let fetch = &mut self.attribution.fetch;
+        if delivered {
+            fetch.active += 1;
+        } else if queue_was_full {
+            fetch.queue_full += 1;
+        } else if drained {
+            fetch.drained += 1;
+        } else {
+            fetch.idle += 1;
         }
     }
 

@@ -17,9 +17,8 @@ fn main() {
     let spec = CampaignSpec::new("resumable-demo")
         .with_benchmark_filter("mcf,libquantum,dealII")
         .with_checkpoints(CheckpointSpec::scaled(2, 2_000, 8_000))
-        .with_mechanisms(vec![MechanismConfig::rsep_ideal(), MechanismConfig::value_pred()])
-        .apply_env();
-    let engine = Campaign::from_env();
+        .with_mechanisms(vec![MechanismConfig::rsep_ideal(), MechanismConfig::value_pred()]);
+    let engine = Campaign::auto();
     let dir = std::env::temp_dir().join("rsep-resumable-example");
     std::fs::create_dir_all(&dir).expect("create scratch dir");
 

@@ -3,7 +3,7 @@
 //! table (a small-scale Figure 4).
 //!
 //! Run with: `cargo run --release --example spec_campaign`
-//! Worker count comes from `RSEP_JOBS` (default: all cores).
+//! (one worker per available hardware thread).
 
 use rsep::campaign::{Campaign, CampaignSpec};
 use rsep::core::MechanismConfig;
@@ -12,9 +12,8 @@ use rsep::trace::CheckpointSpec;
 fn main() {
     let spec = CampaignSpec::new("spec-campaign")
         .with_checkpoints(CheckpointSpec::scaled(1, 60_000, 30_000))
-        .with_mechanisms(vec![MechanismConfig::rsep_realistic(), MechanismConfig::value_pred()])
-        .apply_env();
-    let result = Campaign::from_env().run(&spec);
+        .with_mechanisms(vec![MechanismConfig::rsep_realistic(), MechanismConfig::value_pred()]);
+    let result = Campaign::auto().run(&spec);
     println!("{}", result.speedups().to_table());
     eprintln!("{}", result.timing_summary());
 }
