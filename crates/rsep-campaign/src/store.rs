@@ -41,9 +41,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Bumped whenever the key derivation or the stored-cell encoding changes,
-/// so stale stores are invalidated instead of misread.
-pub const STORE_FORMAT_VERSION: u64 = 1;
+/// Bumped whenever the key derivation, the stored-cell encoding or the
+/// meaning of a stored counter changes, so stale stores are invalidated
+/// instead of misread. Version 2: `SimStats::cache` covers only the
+/// measured window, not warm-up.
+pub const STORE_FORMAT_VERSION: u64 = 2;
 
 /// Basis of the second (high) hash lane of a [`CellKey`].
 const CELL_KEY_HI_BASIS: u64 = 0x6c62_272e_07bb_0142;

@@ -339,12 +339,12 @@ fn cell_keys_and_spec_fingerprints_are_pinned() {
         .map(|m| (m.label.clone(), key_for(&profile, &m, &core, spec, 42, 0).to_string()))
         .collect();
     let expected = [
-        ("baseline", "12b401eb1f4e110bb83e3d07e677e43c"),
-        ("zero-pred", "307f66a4a4bd7294d1d1111ec0340bc5"),
-        ("move-elim", "051d680e5f739a5ad504c3c3dc610855"),
-        ("rsep-ideal", "1c0e02905e21b24f02596fc3200534d8"),
-        ("vpred", "53121d43025481ad6c914ef1f139f4b6"),
-        ("rsep+vpred", "7511b6491a483829f9aacb258dd6127a"),
+        ("baseline", "541f2f786d4e6310f13bc892236a9d17"),
+        ("zero-pred", "6168e87dfc444171842b8bca70fa72e8"),
+        ("move-elim", "75b7861caba5eab90d0a20b8bd2100f6"),
+        ("rsep-ideal", "3a2830a9b1c4af14b0dcd54b5eebd383"),
+        ("vpred", "20e8bab553fb2eb21bba0cd39a0241d1"),
+        ("rsep+vpred", "034d2eae817e3eeed7bc467992c7f145"),
     ];
     let expected: Vec<(String, String)> =
         expected.iter().map(|&(l, k)| (l.to_string(), k.to_string())).collect();

@@ -119,6 +119,11 @@ impl Cache {
         self.stats
     }
 
+    /// Zeroes the statistics, keeping the cache contents.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
+    }
+
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         ((line & self.set_mask) as usize, line >> self.tag_shift)
@@ -462,6 +467,14 @@ impl CacheHierarchy {
             (self.l2.name(), self.l2.stats()),
             (self.l3.name(), self.l3.stats()),
         ]
+    }
+
+    /// Zeroes the statistics of all four caches, keeping their contents
+    /// and the prefetcher state.
+    pub(crate) fn reset_stats(&mut self) {
+        for cache in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.l3] {
+            cache.reset_stats();
+        }
     }
 }
 

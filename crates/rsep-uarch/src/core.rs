@@ -468,11 +468,13 @@ impl<E: SpecEngine> Core<E> {
 
     /// Resets measurement counters while keeping all microarchitectural
     /// state (used to separate warm-up from measurement, Section V). The
-    /// predictor counters keep accumulating inside their structures; a
-    /// snapshot taken here lets [`Core::take_stats`] report only the
-    /// post-reset window, like every other `SimStats` counter.
+    /// cache counters are zeroed in place. The predictor counters keep
+    /// accumulating inside their structures; a snapshot taken here lets
+    /// [`Core::take_stats`] report only the post-reset window, like every
+    /// other `SimStats` counter.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
+        self.hierarchy.reset_stats();
         self.predictor_baseline = self.current_predictor_stats();
         self.attribution = StageAttribution::default();
     }
@@ -496,10 +498,9 @@ impl<E: SpecEngine> Core<E> {
         stats
     }
 
-    /// Finalises and returns the statistics, attaching cache counters and
-    /// the unified per-predictor counters (measured from the last
-    /// [`Core::reset_stats`], like every other counter; the cache
-    /// counters remain cumulative, as before this API existed).
+    /// Finalises and returns the statistics, attaching the cache counters
+    /// and the unified per-predictor counters (all measured from the last
+    /// [`Core::reset_stats`], like every other counter).
     pub fn take_stats(&mut self) -> SimStats {
         let mut stats = std::mem::take(&mut self.stats);
         stats.cache = self.hierarchy.stats().to_vec();
@@ -1752,6 +1753,41 @@ mod tests {
         core.run(&mut trace, 1000).unwrap();
         assert_eq!(core.stats().committed, 1000);
         assert!(core.stats().cycles < core.clock());
+    }
+
+    fn l1d_accesses(stats: &SimStats) -> u64 {
+        stats.cache.iter().find(|(name, _)| *name == "L1D").expect("L1D counters").1.accesses
+    }
+
+    #[test]
+    fn reset_stats_zeroes_the_cache_counters() {
+        let profile = rsep_trace::BenchmarkProfile::by_name("gcc").expect("known profile");
+        let (warmup, measure) = (3_000, 5_000);
+        let fresh_core = || Core::baseline(CoreConfig::table1());
+        let fresh_trace = || rsep_trace::TraceGenerator::new(&profile, 42);
+
+        // Warm-up, reset, and an immediate take: nothing was measured yet.
+        let mut core = fresh_core();
+        let mut trace = fresh_trace();
+        core.run(&mut trace, warmup).unwrap();
+        core.reset_stats();
+        let empty = core.take_stats();
+        assert!(empty.cache.iter().all(|(_, c)| *c == crate::CacheStats::default()), "{empty:?}");
+
+        // The two windows of a split run add up to one unsplit run.
+        let mut split = fresh_core();
+        let mut trace = fresh_trace();
+        split.run(&mut trace, warmup).unwrap();
+        let warm = l1d_accesses(&split.take_stats());
+        split.reset_stats();
+        split.run(&mut trace, measure).unwrap();
+        let measured = l1d_accesses(&split.take_stats());
+        let mut whole = fresh_core();
+        let mut trace = fresh_trace();
+        whole.run(&mut trace, warmup).unwrap();
+        whole.run(&mut trace, measure).unwrap();
+        assert!(warm > 0 && measured > 0);
+        assert_eq!(l1d_accesses(&whole.take_stats()), warm + measured);
     }
 
     #[test]
