@@ -184,10 +184,20 @@ pub struct StageAttribution {
 impl StageAttribution {
     /// Records one commit cycle: `slots` instructions committed.
     pub fn record_commit(&mut self, slots: usize) {
-        if self.commit_slots.len() <= slots {
-            self.commit_slots.resize(slots + 1, 0);
+        match self.commit_slots.get_mut(slots) {
+            Some(count) => *count += 1,
+            None => self.grow_commit_slots(slots),
         }
-        self.commit_slots[slots] += 1;
+    }
+
+    /// The first cycle that commits `slots` instructions: grows the
+    /// histogram to cover it. Kept out of line so the per-cycle path of
+    /// [`StageAttribution::record_commit`] stays small.
+    #[cold]
+    #[inline(never)]
+    fn grow_commit_slots(&mut self, slots: usize) {
+        self.commit_slots.resize(slots + 1, 0);
+        self.commit_slots[slots] = 1;
     }
 
     /// Classifies one rename cycle.

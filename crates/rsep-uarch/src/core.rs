@@ -826,9 +826,12 @@ impl<E: SpecEngine> Core<E> {
 
     /// Issues validation µ-ops first: they are prioritised so they issue
     /// back-to-back with the instruction they validate (Section IV-F1).
-    fn issue_validations(&mut self, ports: &mut PortBudget) {
+    ///
+    /// Returns how many validations issued and how many lost port
+    /// arbitration this cycle.
+    fn issue_validations(&mut self, ports: &mut PortBudget) -> (u64, u64) {
         if self.pending_validations.is_empty() {
-            return;
+            return (0, 0);
         }
         let clock = self.clock;
         let mut conflicts = 0u64;
@@ -848,6 +851,7 @@ impl<E: SpecEngine> Core<E> {
         self.stats.validation_issues += issued_validations;
         self.stats.validation_port_conflicts += conflicts;
         self.attribution.work.validations_issued += issued_validations;
+        (issued_validations, conflicts)
     }
 
     /// Event-driven select: iterate only the ready set (populated by wakeup
@@ -859,10 +863,8 @@ impl<E: SpecEngine> Core<E> {
         let mut ports = PortBudget::new(&self.config);
         let div_free = self.div_busy_until <= self.clock;
         let fpdiv_free = self.fpdiv_busy_until <= self.clock;
-        let mut port_blocked = 0u64;
-        let (validations_before, conflicts_before) =
-            (self.stats.validation_issues, self.stats.validation_port_conflicts);
-        self.issue_validations(&mut ports);
+        // Validation µ-ops that lost arbitration count as port-blocked work.
+        let (validations, mut port_blocked) = self.issue_validations(&mut ports);
 
         // Walk the ready set in place, oldest first (nothing inserts into
         // it during select — wakeups land in the calendar and store
@@ -913,27 +915,14 @@ impl<E: SpecEngine> Core<E> {
             issued.push(slot);
         }
         self.apply_issues(&issued);
-        self.classify_issue_cycle(
-            issued.len() as u64,
-            validations_before,
-            port_blocked,
-            conflicts_before,
-        );
+        self.classify_issue_cycle(issued.len() as u64 + validations, port_blocked);
         issued.clear();
         self.issued_scratch = issued;
     }
 
     /// Classifies this cycle for issue-stage attribution from what the
     /// select loop observed.
-    fn classify_issue_cycle(
-        &mut self,
-        issued_insts: u64,
-        validations_before: u64,
-        port_blocked: u64,
-        conflicts_before: u64,
-    ) {
-        let issued = issued_insts + (self.stats.validation_issues - validations_before);
-        let blocked = port_blocked + (self.stats.validation_port_conflicts - conflicts_before);
+    fn classify_issue_cycle(&mut self, issued: u64, blocked: u64) {
         let miss_outstanding = self.clock < self.miss_outstanding_until;
         self.attribution.classify_issue(issued, blocked, self.iq_count, miss_outstanding);
     }
@@ -946,10 +935,8 @@ impl<E: SpecEngine> Core<E> {
         let mut ports = PortBudget::new(&self.config);
         let div_free = self.div_busy_until <= self.clock;
         let fpdiv_free = self.fpdiv_busy_until <= self.clock;
-        let mut port_blocked = 0u64;
-        let (validations_before, conflicts_before) =
-            (self.stats.validation_issues, self.stats.validation_port_conflicts);
-        self.issue_validations(&mut ports);
+        // Validation µ-ops that lost arbitration count as port-blocked work.
+        let (validations, mut port_blocked) = self.issue_validations(&mut ports);
 
         let mut issued = std::mem::take(&mut self.issued_scratch);
         debug_assert!(issued.is_empty());
@@ -991,12 +978,7 @@ impl<E: SpecEngine> Core<E> {
         // Apply the issue decisions (needs mutable access to several parts
         // of `self`, hence the two-phase structure).
         self.apply_issues(&issued);
-        self.classify_issue_cycle(
-            issued.len() as u64,
-            validations_before,
-            port_blocked,
-            conflicts_before,
-        );
+        self.classify_issue_cycle(issued.len() as u64 + validations, port_blocked);
         issued.clear();
         self.issued_scratch = issued;
     }
@@ -1412,7 +1394,6 @@ impl<E: SpecEngine> Core<E> {
         }
         debug_assert!(self.mem_batch.is_empty() && self.fetch_pending.is_empty());
         let queue_len_before = self.fetch_queue.len();
-        let queue_was_full = self.fetch_queue.len() >= self.config.fetch_queue_size;
         self.fetch_block(trace);
         self.resolve_fetch_batch();
         // Even the batched frontend's misprediction unwind keeps the
@@ -1423,7 +1404,7 @@ impl<E: SpecEngine> Core<E> {
         let fetch = &mut self.attribution.fetch;
         if delivered {
             fetch.active += 1;
-        } else if queue_was_full {
+        } else if queue_len_before >= self.config.fetch_queue_size {
             fetch.queue_full += 1;
         } else if drained {
             fetch.drained += 1;
