@@ -23,8 +23,8 @@
 //!   streams that D-VTAGE captures), and the overlap between the two.
 //!
 //! One [`BenchmarkProfile`] is provided per SPEC CPU2006 benchmark; the
-//! parameters are calibrated against Figures 1, 4 and 5 of the paper (see
-//! `EXPERIMENTS.md` for the calibration notes).
+//! parameters are calibrated against Figures 1, 4 and 5 of the paper. The
+//! calibration record is still pending (ROADMAP item 2).
 //!
 //! # Example
 //!

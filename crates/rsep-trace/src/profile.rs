@@ -9,7 +9,8 @@
 //! distance predictor, and how much of that behaviour overlaps with
 //! conventional value predictability.
 //!
-//! The calibration is documented per benchmark in `EXPERIMENTS.md`.
+//! No calibration record exists yet: measuring each profile against what it
+//! declares, and writing that record, is pending (ROADMAP item 2).
 
 use crate::behavior::{BranchBehavior, MemBehavior};
 

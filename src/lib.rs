@@ -18,8 +18,8 @@
 //!   `rsep` CLI: declarative specs, a deterministic thread-pool executor,
 //!   result store and JSON/CSV/markdown report emitters.
 //!
-//! See `README.md` for a quick start and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the reproduction methodology.
+//! See `README.md` for a quick start and `DESIGN.md` for the reproduction
+//! methodology.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
