@@ -15,24 +15,17 @@
 //! * `trace_gen/replay` — the baseline core pulling from a parsed trace
 //!   file segment (decode + simulation, how `rsep trace replay` runs).
 //!
-//! The `throughput` entry derives the generation share of streamed
-//! wall-clock as `generate / streaming` — the standalone generation cost
-//! over the streamed run it is embedded in. (The alternative,
-//! `streaming − pregenerated`, subtracts two ~17 ms measurements whose
-//! true gap is ~1.3 ms, so run-to-run noise swamps it.) The record goes,
-//! with the per-mode numbers, as schema-v2 JSON to `BENCH_trace_gen.json`
-//! (override with `RSEP_BENCH_TRACE_JSON`). DESIGN.md § "Trace-generation
-//! cost" records the measured share against the ROADMAP's ~30% guess.
+//! The generation share of a streamed run is roughly `generate /
+//! simulate_streaming`. `perfbench` reports it for whole campaign grids as
+//! `trace.gen_share`, and the decode share of replay as
+//! `tracefile.decode_share`.
 
 #![forbid(unsafe_code)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rsep_bench::record::BenchRecord;
-use rsep_stats::json::Json;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
 use rsep_tracefile::{record_profile, AnonScheme, TraceFile, RECORD_SLACK};
 use rsep_uarch::{Core, CoreConfig};
-use std::time::Instant;
 
 const COMMITS: u64 = 30_000;
 /// Same head-room over the commit target as `cycle_loop` uses.
@@ -114,107 +107,5 @@ fn bench(c: &mut Criterion) {
     c.bench_function("trace_gen/replay", |b| b.iter(|| black_box(replay(&file))));
 }
 
-/// Default output path: the workspace root, next to the other records.
-const BENCH_JSON_DEFAULT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace_gen.json");
-
-/// Best-of-3 wall-clock per mode, plus the derived generation share of
-/// streamed wall-clock, as schema-v2 JSON.
-fn throughput(_c: &mut Criterion) {
-    let profile = profile();
-    let insts: Vec<rsep_isa::DynInst> = TraceGenerator::new(&profile, SEED).take(INSTS).collect();
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
-
-    let best_of = |label: &str, run: &mut dyn FnMut() -> u64| -> (f64, u64) {
-        run(); // untimed warm-up
-        let mut best = f64::MAX;
-        let mut payload = 0u64;
-        for _ in 0..3 {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "bench measures wall-clock throughput; timings never enter simulation results"
-            )]
-            let start = Instant::now();
-            payload = black_box(run());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        println!(
-            "trace_gen/throughput/{label:<22} {:>8.3} ms/run  {:>7.2} Minsts/s",
-            best * 1e3,
-            INSTS as f64 / best / 1e6
-        );
-        (best, payload)
-    };
-
-    let trace_bytes =
-        record_profile(Vec::new(), &profile, &record_spec(), SEED, AnonScheme::KeyedBlock)
-            .expect("bench recording cannot fail");
-    let file_bytes = trace_bytes.len() as u64;
-    let file = TraceFile::parse(trace_bytes, "bench".to_string()).expect("bench trace parses");
-
-    let (gen_secs, _) = best_of("generate", &mut || generate(&profile));
-    let (pregen_secs, cycles) =
-        best_of("simulate_pregenerated", &mut || simulate_pregenerated(&insts));
-    let (stream_secs, _) = best_of("simulate_streaming", &mut || simulate_streaming(&profile));
-    let (record_secs, _) = best_of("record", &mut || record(&profile));
-    let (replay_secs, replay_cycles) = best_of("replay", &mut || replay(&file));
-
-    let share_pct = (gen_secs / stream_secs * 100.0).min(100.0);
-    println!("trace_gen/throughput/generation_share       {share_pct:>8.1} % of streamed run");
-
-    let mode_result = |mode: &str, secs: f64, extra: Vec<(&str, Json)>| {
-        let mut pairs = vec![
-            ("mode".to_string(), Json::Str(mode.to_string())),
-            ("ms_per_run".to_string(), Json::Num((secs * 1e6).round() / 1e3)),
-            ("minsts_per_sec".to_string(), Json::Num(round2(INSTS as f64 / secs / 1e6))),
-        ];
-        for (key, value) in extra {
-            pairs.push((key.to_string(), value));
-        }
-        Json::Object(pairs)
-    };
-    let mcycles = |secs: f64| Json::Num(round2(cycles as f64 / secs / 1e6));
-    let record = BenchRecord {
-        bench: "trace_gen",
-        params: vec![
-            ("profile", Json::Str("gcc".to_string())),
-            ("config", Json::Str("table1".to_string())),
-            ("commits", Json::Num(COMMITS as f64)),
-            ("insts", Json::Num(INSTS as f64)),
-            ("generation_share_pct", Json::Num((share_pct * 10.0).round() / 10.0)),
-        ],
-        results: vec![
-            mode_result("generate", gen_secs, Vec::new()),
-            mode_result(
-                "simulate_pregenerated",
-                pregen_secs,
-                vec![("mcycles_per_sec", mcycles(pregen_secs))],
-            ),
-            mode_result(
-                "simulate_streaming",
-                stream_secs,
-                vec![("mcycles_per_sec", mcycles(stream_secs))],
-            ),
-            mode_result(
-                "record",
-                record_secs,
-                vec![
-                    ("file_bytes", Json::Num(file_bytes as f64)),
-                    ("mb_per_sec", Json::Num(round2(file_bytes as f64 / record_secs / 1e6))),
-                ],
-            ),
-            mode_result(
-                "replay",
-                replay_secs,
-                vec![(
-                    "mcycles_per_sec",
-                    Json::Num(round2(replay_cycles as f64 / replay_secs / 1e6)),
-                )],
-            ),
-        ],
-        attribution: Json::Null,
-    };
-    record.write("RSEP_BENCH_TRACE_JSON", BENCH_JSON_DEFAULT);
-}
-
-criterion_group!(benches, bench, throughput);
+criterion_group!(benches, bench);
 criterion_main!(benches);

@@ -1,15 +1,12 @@
 //! # rsep-bench
 //!
-//! Throughput benches of the simulator's hot structures and loops
-//! (`benches/`), the [`record`] module through which they write their
-//! machine-readable `BENCH_*.json` records, and `bench_gate`, the
-//! regression gate that compares a fresh record against a committed one.
+//! Criterion micro-benches of the simulator's hot structures and loops.
+//! They live in `benches/` and write nothing: criterion prints the timings.
+//! This library target is empty; Cargo needs one to host the benches.
 //!
-//! The paper's tables and figures are produced by the `rsep` campaign CLI
-//! (`rsep fig1 … fig7`, `rsep table1`, `rsep sweep`) in `rsep-campaign`.
+//! The benchmark of record is `perfbench/` (see `perfbench/README.md`).
+//! It times the paper's campaign grids end to end and layer by layer.
+//! The paper's tables and figures themselves come from the `rsep` campaign
+//! CLI (`rsep fig1 … fig7`, `rsep table1`, `rsep sweep`) in `rsep-campaign`.
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(missing_debug_implementations)]
-
-pub mod record;

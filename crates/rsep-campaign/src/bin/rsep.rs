@@ -253,7 +253,7 @@ impl Cli {
         }
         if let Some(list) = &self.benchmarks {
             // An explicit selection picks from the whole suite, not from
-            // whatever subset the env filter or --smoke left behind.
+            // whatever subset the preset or --smoke left behind.
             spec = spec
                 .with_profiles(rsep_trace::BenchmarkProfile::spec2006())
                 .with_benchmark_filter(list);

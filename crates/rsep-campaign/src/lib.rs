@@ -241,6 +241,22 @@ pub(crate) fn expand_mechanisms(spec: &CampaignSpec) -> Vec<MechanismConfig> {
     mechanisms
 }
 
+/// Decodes a grid index into its `(profile, mechanism, checkpoint)`
+/// coordinates. Cells are numbered `(p·M + m)·C + c` for `M` mechanisms and
+/// `C` checkpoints — profile-major, checkpoint-minor — which is the order
+/// [`assemble_rows`] consumes.
+pub(crate) fn grid_cell(
+    index: usize,
+    n_mechanisms: usize,
+    n_checkpoints: usize,
+) -> (usize, usize, usize) {
+    (
+        index / (n_checkpoints * n_mechanisms),
+        (index / n_checkpoints) % n_mechanisms,
+        index % n_checkpoints,
+    )
+}
+
 /// Reassembles per-benchmark results from index-ordered checkpoint cells.
 ///
 /// `labels` is the expanded mechanism axis (baseline first when `baseline`
@@ -436,9 +452,8 @@ impl Campaign {
         // Content-addressed identity of every cell of the grid.
         let keys: Vec<CellKey> = (0..cells)
             .map(|index| {
-                let checkpoint = index % n_checkpoints;
-                let mechanism = (index / n_checkpoints) % n_mechanisms;
-                let profile = index / (n_checkpoints * n_mechanisms);
+                let (profile, mechanism, checkpoint) =
+                    grid_cell(index, n_mechanisms, n_checkpoints);
                 CellKey::for_cell(
                     &spec.profiles[profile],
                     &mechanisms[mechanism],
@@ -474,9 +489,8 @@ impl Campaign {
             cells,
             &todo,
             |index| {
-                let checkpoint = index % n_checkpoints;
-                let mechanism = (index / n_checkpoints) % n_mechanisms;
-                let profile = index / (n_checkpoints * n_mechanisms);
+                let (profile, mechanism, checkpoint) =
+                    grid_cell(index, n_mechanisms, n_checkpoints);
                 run_checkpoint(
                     &spec.profiles[profile],
                     &mechanisms[mechanism],
@@ -568,6 +582,24 @@ mod tests {
             .with_checkpoints(CheckpointSpec::scaled(2, 500, 2_000))
             .with_seed(7)
             .with_mechanisms(vec![MechanismConfig::rsep_ideal(), MechanismConfig::value_pred()])
+    }
+
+    #[test]
+    fn grid_cell_inverts_the_assembly_order() {
+        // Walk the grid in the order `assemble_rows` consumes it (profile,
+        // then mechanism, then checkpoint) and check each running index
+        // decodes back to its coordinates.
+        let (n_profiles, n_mechanisms, n_checkpoints) = (3, 4, 5);
+        let mut index = 0;
+        for p in 0..n_profiles {
+            for m in 0..n_mechanisms {
+                for c in 0..n_checkpoints {
+                    assert_eq!(index, (p * n_mechanisms + m) * n_checkpoints + c);
+                    assert_eq!(grid_cell(index, n_mechanisms, n_checkpoints), (p, m, c));
+                    index += 1;
+                }
+            }
+        }
     }
 
     #[test]

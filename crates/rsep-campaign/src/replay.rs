@@ -19,7 +19,7 @@ use rsep_core::run_checkpoint_on;
 use rsep_isa::Fingerprint;
 use rsep_tracefile::{record_profile, AnonScheme, TraceFile};
 
-use crate::{assemble_rows, expand_mechanisms, CampaignResult, CampaignSpec, Executor};
+use crate::{assemble_rows, expand_mechanisms, grid_cell, CampaignResult, CampaignSpec, Executor};
 
 /// Path of one profile's trace within a corpus directory.
 fn trace_path(dir: &Path, profile: &str) -> PathBuf {
@@ -140,9 +140,7 @@ pub fn replay_campaign(
     let n_checkpoints = spec.checkpoints.count;
     let cells = spec.profiles.len() * n_mechanisms * n_checkpoints;
     let (outputs, exec) = executor.run(cells, |index| {
-        let checkpoint = index % n_checkpoints;
-        let mechanism = (index / n_checkpoints) % n_mechanisms;
-        let profile = index / (n_checkpoints * n_mechanisms);
+        let (profile, mechanism, checkpoint) = grid_cell(index, n_mechanisms, n_checkpoints);
         let mut segment = corpus[profile]
             .segment(checkpoint)
             .expect("segment count was validated against the spec");

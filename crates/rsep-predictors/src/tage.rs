@@ -13,8 +13,8 @@
 //! it. The provider walk of [`Predictor::predict`] touches one random
 //! entry per component, so a single packed word per entry — one cache
 //! line touch — beats both the retired `Vec<Vec<Entry>>` layout and a
-//! split tag-array/metadata-array layout (measured by the
-//! `predictor_stack` bench).
+//! split tag-array/metadata-array layout (measured by in-bench clones of
+//! each layout when the flat one replaced them).
 
 use crate::counters::Lfsr;
 use crate::history::{FoldStateSoa, GlobalHistory, MAX_HISTORY_BITS};

@@ -1,7 +1,7 @@
 //! Per-stage cycle attribution.
 //!
 //! [`StageAttribution`] answers "where do the simulated cycles go?" — the
-//! question the single opaque throughput numbers in `BENCH_*.json` cannot.
+//! question a single host-time throughput number cannot.
 //! Every simulated cycle is classified **exactly once per stage** (fetch,
 //! rename, issue) into a work-or-stall class, and the commit stage records
 //! a commit-slot utilization histogram; each per-stage breakdown therefore
@@ -284,9 +284,8 @@ impl StageAttribution {
     }
 
     /// The per-cycle stage breakdowns as `(stage, class, cycles)` rows, in
-    /// a stable order — the machine-readable form the bench records and the
-    /// CLI table are both built from.
-    pub fn stage_rows(&self) -> Vec<(&'static str, &'static str, u64)> {
+    /// a stable order — the rows [`StageAttribution::render_table`] prints.
+    fn stage_rows(&self) -> Vec<(&'static str, &'static str, u64)> {
         vec![
             ("fetch", "active", self.fetch.active),
             ("fetch", "redirect", self.fetch.redirect),
@@ -307,7 +306,7 @@ impl StageAttribution {
     }
 
     /// The execute-stage work counters as `(name, count)` rows.
-    pub fn work_rows(&self) -> Vec<(&'static str, u64)> {
+    fn work_rows(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("insts_issued", self.work.insts_issued),
             ("loads_issued", self.work.loads_issued),
