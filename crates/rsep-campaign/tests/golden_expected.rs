@@ -1,5 +1,10 @@
-//! Golden expected-output guard: the fig4 and fig7 smoke campaigns must
-//! reproduce the digests committed under `tests/expected/`, bit for bit.
+//! Golden expected-output guard: the fig4 and fig7 smoke campaigns, plus
+//! the hash-width and history-depth sweeps, must reproduce the digests
+//! committed under `tests/expected/`, bit for bit.
+//!
+//! The two sweeps pin the commit-time history search at its edges: the
+//! 8-bit hash makes long same-hash chains and the 32-entry history evicts
+//! entries that are still chained.
 //!
 //! The golden-stats suite proves two *live* configurations agree with each
 //! other; this suite pins the results against a *committed* artifact, so
@@ -67,4 +72,14 @@ fn fig4_smoke_matches_committed_golden() {
 #[test]
 fn fig7_smoke_matches_committed_golden() {
     assert_golden("fig7_smoke", &presets::fig7().smoke());
+}
+
+#[test]
+fn hash_sweep_smoke_matches_committed_golden() {
+    assert_golden("ablation_hash_smoke", &presets::sweep_hash().smoke());
+}
+
+#[test]
+fn history_sweep_smoke_matches_committed_golden() {
+    assert_golden("ablation_history_smoke", &presets::sweep_history().smoke());
 }
