@@ -35,6 +35,24 @@ fn bench(c: &mut Criterion) {
             fifo.push(seq, seq % 97);
         })
     });
+    c.bench_function("structures/fifo_history_search_push_2048", |b| {
+        // The ideal 2048-entry history fed 256 recurring values, so each
+        // hash chain holds about eight live entries. Every other search
+        // propagates a predicted distance, which is usually absent and
+        // walks the chain until the distances pass it.
+        let mut fifo = FifoHistory::new(FifoHistoryConfig::ideal());
+        let mut seq = 0u64;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        b.iter(|| {
+            seq += 1;
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let value = state >> 56;
+            let predicted = seq.is_multiple_of(2).then_some(((state >> 20) % 2048) as u32);
+            let found = fifo.find_pair(seq, value, predicted);
+            fifo.push(seq, value);
+            found
+        })
+    });
     c.bench_function("structures/isrb_share_release", |b| {
         let mut isrb = Isrb::new(IsrbConfig::paper());
         let preg = rsep_isa::PhysReg::new(rsep_isa::RegClass::Int, 42);

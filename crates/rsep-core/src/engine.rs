@@ -28,8 +28,63 @@ use rsep_predictors::{
     ZeroPredictor,
 };
 use rsep_uarch::{Disposition, RenameAction, RenameContext, SpecEngine};
-#[expect(clippy::disallowed_types, reason = "keyed lookup only; the map is never iterated")]
-use std::collections::HashMap;
+
+/// Slots of the rename-to-commit distance ring: a power of two at least
+/// the ROB capacity, so no two in-flight sequence numbers share a slot.
+const PENDING_SLOTS: usize = 1024;
+
+/// Predicted distances propagated from Rename to Commit (Section VI-B
+/// counts 224 B for this FIFO), indexed by sequence number. Each slot is
+/// tagged with its sequence number, so a slot left behind by an
+/// instruction that never took it reads as empty for every other one.
+#[derive(Debug)]
+struct PendingDistances {
+    /// `(seq, distance)`; `seq == u64::MAX` marks an empty slot.
+    slots: Vec<(u64, u32)>,
+    /// One past the youngest sequence number inserted and not squashed.
+    end: u64,
+}
+
+impl PendingDistances {
+    const EMPTY: (u64, u32) = (u64::MAX, 0);
+
+    fn new() -> PendingDistances {
+        PendingDistances { slots: vec![Self::EMPTY; PENDING_SLOTS], end: 0 }
+    }
+
+    fn slot(seq: u64) -> usize {
+        seq as usize & (PENDING_SLOTS - 1)
+    }
+
+    fn insert(&mut self, seq: u64, distance: u32) {
+        self.slots[Self::slot(seq)] = (seq, distance);
+        self.end = self.end.max(seq + 1);
+    }
+
+    /// Removes and returns the distance propagated for `seq`, if any.
+    fn take(&mut self, seq: u64) -> Option<u32> {
+        let slot = &mut self.slots[Self::slot(seq)];
+        if slot.0 != seq {
+            return None;
+        }
+        let distance = slot.1;
+        *slot = Self::EMPTY;
+        Some(distance)
+    }
+
+    /// Forgets every distance from `from_seq` on, so a replayed
+    /// instruction that gets no new prediction reads none at commit.
+    fn squash_from(&mut self, from_seq: u64) {
+        let first = from_seq.max(self.end.saturating_sub(PENDING_SLOTS as u64));
+        for seq in first..self.end {
+            let slot = &mut self.slots[Self::slot(seq)];
+            if slot.0 == seq {
+                *slot = Self::EMPTY;
+            }
+        }
+        self.end = self.end.min(from_seq);
+    }
+}
 
 /// Counters describing the engine's own activity (in addition to the
 /// core's [`rsep_uarch::SimStats`]).
@@ -61,10 +116,7 @@ pub struct RsepEngine {
     isrb: Option<Isrb>,
     dvtage: Option<Dvtage>,
     zero: Option<ZeroPredictor>,
-    /// Predicted distances propagated from Rename to Commit (Section VI-B
-    /// counts 224 B for this FIFO).
-    #[expect(clippy::disallowed_types, reason = "keyed by sequence number and never iterated")]
-    pending_distances: HashMap<u64, u32>,
+    pending_distances: PendingDistances,
     stats: EngineStats,
 }
 
@@ -84,11 +136,7 @@ impl RsepEngine {
             isrb,
             dvtage,
             zero,
-            #[expect(
-                clippy::disallowed_types,
-                reason = "keyed by sequence number and never iterated"
-            )]
-            pending_distances: HashMap::new(),
+            pending_distances: PendingDistances::new(),
             stats: EngineStats::default(),
         }
     }
@@ -135,6 +183,10 @@ impl RsepEngine {
         // through the validation path).
         let start_train = rsep.sampling.map(|s| s.start_train_raw).unwrap_or(0);
         if prediction.usable() || prediction.likely_candidate(start_train) {
+            assert!(
+                ctx.rob.capacity() <= PENDING_SLOTS,
+                "the ROB holds more instructions than the distance ring has slots"
+            );
             self.pending_distances.insert(inst.seq, prediction.distance);
         }
         if !prediction.usable() || prediction.distance == 0 {
@@ -176,7 +228,7 @@ impl RsepEngine {
         let (Some(fifo), Some(predictor)) = (self.fifo.as_mut(), self.distance.as_mut()) else {
             return;
         };
-        let predicted = self.pending_distances.remove(&inst.seq);
+        let predicted = self.pending_distances.take(inst.seq);
         let mut search_allowed = true;
         if rsep.sampling.is_some() {
             let is_candidate = predicted.is_some();
@@ -198,7 +250,7 @@ impl RsepEngine {
             } else {
                 // Non-candidates only search when they win the commit-group
                 // sampling lottery (one per cycle).
-                search_allowed = fifo.admit_sampled(clock, 8);
+                search_allowed = fifo.admit_sampled(clock);
             }
         }
         if search_allowed {
@@ -268,7 +320,6 @@ impl SpecEngine for RsepEngine {
             }
         }
         if !inst.eligible_for_prediction() {
-            self.pending_distances.remove(&inst.seq);
             return;
         }
         // Commit-time training of every enabled predictor.
@@ -280,8 +331,6 @@ impl SpecEngine for RsepEngine {
         }
         if self.config.rsep.is_some() {
             self.train_rsep(inst, clock);
-        } else {
-            self.pending_distances.remove(&inst.seq);
         }
     }
 
@@ -293,7 +342,7 @@ impl SpecEngine for RsepEngine {
     }
 
     fn on_squash(&mut self, from_seq: u64) -> Vec<PhysReg> {
-        self.pending_distances.retain(|&seq, _| seq < from_seq);
+        self.pending_distances.squash_from(from_seq);
         // Predictors train at commit only, so their on_squash hooks are
         // no-ops — broadcast anyway to honour the trait contract.
         if let Some(d) = self.distance.as_mut() {
@@ -426,7 +475,61 @@ mod tests {
         engine.pending_distances.insert(20, 5);
         let freed = engine.on_squash(15);
         assert!(freed.is_empty());
-        assert!(engine.pending_distances.contains_key(&10));
-        assert!(!engine.pending_distances.contains_key(&20));
+        assert_eq!(engine.pending_distances.take(20), None);
+        assert_eq!(engine.pending_distances.take(10), Some(3));
+        assert_eq!(engine.pending_distances.take(10), None, "a distance is taken once");
+    }
+
+    #[test]
+    fn distance_ring_tags_slots_with_their_sequence_number() {
+        let mut ring = PendingDistances::new();
+        ring.insert(7, 4);
+        // The same slot, one lap later, belongs to another instruction.
+        assert_eq!(ring.take(7 + PENDING_SLOTS as u64), None);
+        assert_eq!(ring.take(7), Some(4));
+    }
+
+    /// Commits `seq` as a register producer of `value` and returns whether
+    /// its history search matched a propagated predicted distance.
+    fn commit_matches_prediction(engine: &mut RsepEngine, seq: u64, value: u64) -> bool {
+        let before = engine.fifo_stats().unwrap().predicted_distance_matches;
+        let inst = DynInst::simple(seq, 0x400300, OpClass::IntAlu, ArchReg::int(1), value);
+        engine.at_commit(&inst, Disposition::None, seq);
+        engine.fifo_stats().unwrap().predicted_distance_matches > before
+    }
+
+    #[test]
+    fn replayed_instruction_sees_only_its_own_prediction() {
+        // Producers of 0x77 commit at seqs 0 and 1, so seq 5 has pairs at
+        // distances 4 and 5. Seq 5 is renamed with distance 5, squashed and
+        // replayed.
+        let prime = |engine: &mut RsepEngine| {
+            for seq in 0..2 {
+                assert!(!commit_matches_prediction(engine, seq, 0x77));
+            }
+            engine.pending_distances.insert(5, 5);
+            engine.on_squash(5);
+        };
+
+        // The replay gets no usable prediction: commit searches with none
+        // and settles on the youngest pair, not the squashed distance.
+        let mut engine = RsepEngine::new(MechanismConfig::rsep_ideal());
+        prime(&mut engine);
+        assert_eq!(engine.pending_distances.take(5), None);
+        assert!(!commit_matches_prediction(&mut engine, 5, 0x77));
+
+        // The replay predicts a new distance: commit sees that one.
+        let mut engine = RsepEngine::new(MechanismConfig::rsep_ideal());
+        prime(&mut engine);
+        engine.pending_distances.insert(5, 4);
+        assert!(commit_matches_prediction(&mut engine, 5, 0x77));
+        assert_eq!(engine.pending_distances.take(5), None, "commit consumed it");
+
+        // A new distance that matches no pair is not confused with the
+        // squashed one either.
+        let mut engine = RsepEngine::new(MechanismConfig::rsep_ideal());
+        prime(&mut engine);
+        engine.pending_distances.insert(5, 3);
+        assert!(!commit_matches_prediction(&mut engine, 5, 0x77));
     }
 }

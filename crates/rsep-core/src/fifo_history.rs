@@ -13,13 +13,16 @@
 //! most recent one (Section VI-A2: this filters "per chance" matches).
 //!
 //! Commit-time sampling (Section IV-B3) limits the number of comparisons:
-//! only one randomly chosen committing instruction per cycle searches the
-//! history; instructions whose confidence already exceeds the
-//! `start_train` threshold are trained through the validation path instead.
+//! only the first committing producer of each cycle searches the history;
+//! instructions whose confidence already exceeds the `start_train`
+//! threshold are trained through the validation path instead.
+//!
+//! The hardware is a CAM searched in parallel; the model finds the same
+//! match through per-hash chains (see [`FifoHistory`]).
+//! [`FifoHistoryConfig::storage_bits`] and [`FifoHistoryConfig::comparators`]
+//! describe the CAM, not the model's index.
 
 use rsep_isa::FoldHash;
-use rsep_predictors::Lfsr;
-use std::collections::VecDeque;
 
 /// Configuration of the FIFO history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,13 +74,6 @@ impl rsep_isa::Fingerprint for FifoHistoryConfig {
     }
 }
 
-/// One record of the history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HistoryEntry {
-    csn: u64,
-    hash: u16,
-}
-
 /// Result of a history search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairMatch {
@@ -87,13 +83,37 @@ pub struct PairMatch {
     pub matched_prediction: bool,
 }
 
+/// One ring slot: a remembered producer and its link down its hash chain.
+#[derive(Debug, Clone, Copy)]
+struct ChainEntry {
+    csn: u64,
+    /// Push number of the next older entry with the same hash (0: none).
+    prev: u64,
+}
+
 /// Commit-time FIFO history.
+///
+/// The hardware compares a search hash against every entry in parallel.
+/// The model reaches the same answer through per-hash chains: each entry
+/// links to the previous entry with the same hash, and a head table holds
+/// the youngest entry of every hash value, so a search visits only
+/// same-hash entries, youngest first. Entries are identified by their
+/// 1-based push number; the live ones are the last `len()` pushes, so a
+/// link that points below that window ends the chain and eviction needs no
+/// unlinking.
 #[derive(Debug)]
 pub struct FifoHistory {
     config: FifoHistoryConfig,
     hash: FoldHash,
-    entries: VecDeque<HistoryEntry>,
-    lfsr: Lfsr,
+    /// Push number `n` lives in slot `(n - 1) & slot_mask`. The ring is
+    /// `capacity` rounded up to a power of two (grown on demand), so an
+    /// entry is overwritten only after it has left the live window.
+    ring: Vec<ChainEntry>,
+    slot_mask: u64,
+    /// Push number of the youngest entry of each hash value (0: none).
+    heads: Vec<u64>,
+    /// Producers pushed so far.
+    pushes: u64,
     /// Committing producers seen in the current cycle (for sampling).
     seen_this_cycle: u32,
     current_cycle: u64,
@@ -118,11 +138,17 @@ pub struct FifoHistoryStats {
 impl FifoHistory {
     /// Creates a FIFO history.
     pub fn new(config: FifoHistoryConfig) -> FifoHistory {
+        let hash = FoldHash::new(config.hash_bits);
+        // `FoldHash::hash` returns a `u16`, so wider hashes still index
+        // 2^16 heads.
+        let head_bits = config.hash_bits.min(16);
         FifoHistory {
             config,
-            hash: FoldHash::new(config.hash_bits),
-            entries: VecDeque::with_capacity(config.capacity.min(1 << 16)),
-            lfsr: Lfsr::new(0xf1f0_0123_4567),
+            hash,
+            ring: Vec::new(),
+            slot_mask: config.capacity.next_power_of_two() as u64 - 1,
+            heads: vec![0; 1 << head_bits],
+            pushes: 0,
             seen_this_cycle: 0,
             current_cycle: u64::MAX,
             stats: FifoHistoryStats::default(),
@@ -141,22 +167,18 @@ impl FifoHistory {
 
     /// Current number of remembered producers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pushes.min(self.config.capacity as u64) as usize
     }
 
     /// Returns `true` when the history is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pushes == 0
     }
 
     /// Decides whether a committing producer may search the history this
-    /// cycle under commit-time sampling: only the first randomly retained
-    /// producer of each cycle searches.
-    ///
-    /// `cycle` is the commit cycle; `commit_width` scales the retention
-    /// probability so on average one producer per full-width commit group
-    /// searches.
-    pub fn admit_sampled(&mut self, cycle: u64, commit_width: u32) -> bool {
+    /// cycle under commit-time sampling: only the first producer of each
+    /// commit cycle searches.
+    pub fn admit_sampled(&mut self, cycle: u64) -> bool {
         if cycle != self.current_cycle {
             self.current_cycle = cycle;
             self.seen_this_cycle = 0;
@@ -166,13 +188,16 @@ impl FifoHistory {
             self.stats.sampled_out += 1;
             return false;
         }
-        let _ = commit_width;
         true
     }
 
     /// Searches the history for an older producer with the same result
-    /// hash. `predicted_distance`, when provided, is preferred over the
-    /// most recent match.
+    /// hash. The default match is the most recent one; `predicted_distance`,
+    /// when provided and present, is preferred over it.
+    ///
+    /// CSNs never decrease from push to push, so distances grow along a
+    /// chain: the walk stops at the first entry when nothing was predicted,
+    /// and otherwise as soon as it reaches or passes the predicted distance.
     pub fn find_pair(
         &mut self,
         csn: u64,
@@ -180,21 +205,22 @@ impl FifoHistory {
         predicted_distance: Option<u32>,
     ) -> Option<PairMatch> {
         self.stats.searches += 1;
-        let h = self.hash.hash(result);
+        let last_evicted = self.pushes - self.len() as u64;
+        let mut link = self.heads[usize::from(self.hash.hash(result))];
         let mut best: Option<PairMatch> = None;
-        // Iterate youngest (closest) first so the default match is the most
-        // recent older instruction, as in the paper.
-        for entry in self.entries.iter().rev() {
-            if entry.hash != h {
-                continue;
-            }
+        while link > last_evicted {
+            let entry = self.ring[((link - 1) & self.slot_mask) as usize];
             let distance = (csn - entry.csn) as u32;
-            if best.is_none() {
-                best = Some(PairMatch { distance, matched_prediction: false });
-            }
             if predicted_distance == Some(distance) {
                 best = Some(PairMatch { distance, matched_prediction: true });
                 break;
+            }
+            if best.is_none() {
+                best = Some(PairMatch { distance, matched_prediction: false });
+            }
+            match predicted_distance {
+                Some(predicted) if distance < predicted => link = entry.prev,
+                _ => break,
             }
         }
         if let Some(m) = best {
@@ -206,24 +232,23 @@ impl FifoHistory {
         best
     }
 
-    /// Pushes a retiring producer into the history.
+    /// Pushes a retiring producer into the history, evicting the oldest
+    /// one when full.
     pub fn push(&mut self, csn: u64, result: u64) {
         self.stats.pushes += 1;
-        let h = self.hash.hash(result);
-        if self.entries.len() >= self.config.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(HistoryEntry { csn, hash: h });
-    }
-
-    /// Randomly selects one of `group` committing producers (sampling as
-    /// described in Section IV-B3); exposed for the harness's comparator
-    /// accounting experiments.
-    pub fn pick_random(&mut self, group: u32) -> u32 {
-        if group <= 1 {
-            0
+        let slot = (self.pushes & self.slot_mask) as usize;
+        debug_assert!(
+            self.pushes == 0 || self.ring[((self.pushes - 1) & self.slot_mask) as usize].csn <= csn,
+            "commit sequence numbers must not decrease"
+        );
+        let head = &mut self.heads[usize::from(self.hash.hash(result))];
+        let entry = ChainEntry { csn, prev: *head };
+        self.pushes += 1;
+        *head = self.pushes;
+        if slot == self.ring.len() {
+            self.ring.push(entry);
         } else {
-            (self.lfsr.next_u64() % u64::from(group)) as u32
+            self.ring[slot] = entry;
         }
     }
 }
@@ -292,10 +317,10 @@ mod tests {
     #[test]
     fn sampling_admits_one_producer_per_cycle() {
         let mut fifo = FifoHistory::new(FifoHistoryConfig::realistic());
-        assert!(fifo.admit_sampled(100, 8));
-        assert!(!fifo.admit_sampled(100, 8));
-        assert!(!fifo.admit_sampled(100, 8));
-        assert!(fifo.admit_sampled(101, 8));
+        assert!(fifo.admit_sampled(100));
+        assert!(!fifo.admit_sampled(100));
+        assert!(!fifo.admit_sampled(100));
+        assert!(fifo.admit_sampled(101));
         assert_eq!(fifo.stats().sampled_out, 2);
     }
 
@@ -308,14 +333,5 @@ mod tests {
         let mut fifo = FifoHistory::new(cfg);
         fifo.push(1, 2);
         assert!(fifo.find_pair(2, 4, None).is_some());
-    }
-
-    #[test]
-    fn pick_random_is_in_range() {
-        let mut fifo = FifoHistory::new(FifoHistoryConfig::realistic());
-        for _ in 0..100 {
-            assert!(fifo.pick_random(8) < 8);
-        }
-        assert_eq!(fifo.pick_random(1), 0);
     }
 }

@@ -1,11 +1,153 @@
 //! Property-based tests on the RSEP hardware structures: the ISRB
 //! reference-counting protocol and the commit FIFO history.
+//!
+//! The FIFO history finds pairs through per-hash chains; [`LinearHistory`]
+//! keeps the whole-FIFO reverse scan it replaced as the reference model,
+//! and the differential properties below check that both give the same
+//! match and the same statistics after every step.
 
 use proptest::prelude::*;
-use rsep_core::{FifoHistory, FifoHistoryConfig, Isrb, IsrbConfig};
-use rsep_isa::{PhysReg, RegClass};
+use rsep_core::{FifoHistory, FifoHistoryConfig, FifoHistoryStats, Isrb, IsrbConfig, PairMatch};
+use rsep_isa::{FoldHash, PhysReg, RegClass};
+use std::collections::VecDeque;
+
+/// Reference model: the FIFO as a deque of `(csn, hash)`, searched by a
+/// reverse scan over every entry.
+struct LinearHistory {
+    capacity: usize,
+    hash: FoldHash,
+    entries: VecDeque<(u64, u16)>,
+    stats: FifoHistoryStats,
+}
+
+impl LinearHistory {
+    fn new(config: FifoHistoryConfig) -> LinearHistory {
+        LinearHistory {
+            capacity: config.capacity,
+            hash: FoldHash::new(config.hash_bits),
+            entries: VecDeque::new(),
+            stats: FifoHistoryStats::default(),
+        }
+    }
+
+    fn find_pair(&mut self, csn: u64, result: u64, predicted: Option<u32>) -> Option<PairMatch> {
+        self.stats.searches += 1;
+        let h = self.hash.hash(result);
+        let mut best: Option<PairMatch> = None;
+        for &(entry_csn, entry_hash) in self.entries.iter().rev() {
+            if entry_hash != h {
+                continue;
+            }
+            let distance = (csn - entry_csn) as u32;
+            if best.is_none() {
+                best = Some(PairMatch { distance, matched_prediction: false });
+            }
+            if predicted == Some(distance) {
+                best = Some(PairMatch { distance, matched_prediction: true });
+                break;
+            }
+        }
+        if let Some(m) = best {
+            self.stats.matches += 1;
+            if m.matched_prediction {
+                self.stats.predicted_distance_matches += 1;
+            }
+        }
+        best
+    }
+
+    fn push(&mut self, csn: u64, result: u64) {
+        self.stats.pushes += 1;
+        if self.entries.len() >= self.capacity {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((csn, self.hash.hash(result)));
+    }
+}
+
+/// Hash widths of the differential properties: 1 and 4 bits make nearly
+/// every entry collide, 8 gives long chains, 14 and 16 are the paper's and
+/// the sweep's widest.
+const HASH_BITS: [u8; 5] = [1, 4, 8, 14, 16];
+
+/// One step of a history stream: `(value, gap, predict, pick, search,
+/// push_odds)`. The step commits a producer of one of 24 values at the
+/// next CSN, `gap` non-producers later; it searches when `search` is set,
+/// then pushes unless `push_odds` is 0 (a searcher that is not pushed).
+/// `predict` selects the propagated distance: none, the distance of a live
+/// same-hash entry, of any live entry, or `pick` (mostly absent).
+type Step = (u8, u64, u8, usize, bool, u8);
+
+/// Runs `steps` through the chained history and the model, comparing the
+/// search results and the statistics after every step.
+fn run_differential(config: FifoHistoryConfig, steps: &[Step]) {
+    let mut chained = FifoHistory::new(config);
+    let mut model = LinearHistory::new(config);
+    let mut csn = 0u64;
+    for &(value_idx, gap, predict, pick, search, push_odds) in steps {
+        // A small value pool, so equal results recur.
+        let value = u64::from(value_idx).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        csn += 1 + gap;
+        if search {
+            let h = model.hash.hash(value);
+            let live_distance = |same_hash: bool| {
+                let candidates: Vec<u32> = model
+                    .entries
+                    .iter()
+                    .filter(|&&(_, eh)| !same_hash || eh == h)
+                    .map(|&(ec, _)| (csn - ec) as u32)
+                    .collect();
+                (!candidates.is_empty()).then(|| candidates[pick % candidates.len()])
+            };
+            let predicted = match predict {
+                0 => None,
+                1 => live_distance(true),
+                2 => live_distance(false),
+                _ => Some(pick as u32),
+            };
+            let expected = model.find_pair(csn, value, predicted);
+            let actual = chained.find_pair(csn, value, predicted);
+            assert_eq!(actual, expected, "search at csn {csn} (predicted {predicted:?}) diverges");
+        }
+        // Push on most steps so the history fills and evicts.
+        if push_odds != 0 || !search {
+            model.push(csn, value);
+            chained.push(csn, value);
+        }
+        assert_eq!(chained.stats(), model.stats, "statistics diverge at csn {csn}");
+        assert_eq!(chained.len(), model.entries.len());
+    }
+}
 
 proptest! {
+    /// The chained history answers every search exactly like the linear
+    /// scan, on small capacities that evict constantly.
+    #[test]
+    fn chained_history_matches_the_linear_scan(
+        hash_idx in 0usize..5,
+        capacity in 1usize..65,
+        steps in collection::vec((0u8..24, 0u64..3, 0u8..4, 0usize..4096, any::<bool>(), 0u8..8), 1..300),
+    ) {
+        let config = FifoHistoryConfig { capacity, hash_bits: HASH_BITS[hash_idx], csn_bits: 10 };
+        run_differential(config, &steps);
+    }
+
+    /// The same at the ideal 2048-entry capacity, with streams long
+    /// enough to wrap the ring.
+    #[test]
+    fn chained_history_matches_the_linear_scan_at_ideal_capacity(
+        hash_idx in 0usize..5,
+        steps in collection::vec((0u8..24, 0u64..3, 0u8..4, 0usize..4096, 0u8..8, 0u8..8), 2100..2600),
+    ) {
+        // Search on one step in eight: the model's full scan is the cost.
+        let steps: Vec<Step> = steps
+            .into_iter()
+            .map(|(v, g, p, k, search, push)| (v, g, p, k, search == 0, push))
+            .collect();
+        let config = FifoHistoryConfig { hash_bits: HASH_BITS[hash_idx], ..FifoHistoryConfig::ideal() };
+        run_differential(config, &steps);
+    }
+
     /// ISRB protocol invariant: for a register shared `n` times (all sharers
     /// committed), the register is freed exactly on the `n + 1`-th committed
     /// de-reference and never before.

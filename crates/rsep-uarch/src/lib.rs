@@ -54,7 +54,7 @@ pub mod stats;
 
 pub use attribution::{FetchCycles, IssueCycles, RenameBlock, RenameCycles};
 pub use attribution::{StageAttribution, WorkCounts};
-pub use cache::{AccessKind, Cache, CacheHierarchy, CacheStats, MemRequest, StridePrefetcher};
+pub use cache::{AccessKind, Cache, CacheHierarchy, CacheStats, StridePrefetcher};
 pub use config::{CoreConfig, SchedulerKind};
 pub use core::{Core, SimError};
 pub use engine::{
